@@ -11,10 +11,10 @@
 //   l3_reconcile L3 with pdu-grade meters and cross-validation enabled —
 //                times the analysis-bucket accounting on top of metering;
 //   async_collect  the asynchronous collector (pollers over a clean
-//                transport) on the L3 cohort — no eager reference exists
-//                for this path, so it reports 1-vs-8-thread wall times
-//                and byte-identity across thread counts instead of
-//                engine speedups.
+//                transport) on the L3 cohort — its eager reference is
+//                the collector on the eager engine (truth-chain poll
+//                replies, direct ground truth), the streaming variants
+//                use the per-chunk shape tables and memoized Assess.
 //
 // Each scenario runs the historical eager engine single-threaded (the
 // pre-streaming hot path, kept as the reference implementation), the
@@ -151,10 +151,6 @@ struct ScenarioResult {
   double samples_per_sec = 0.0;  // streaming@1 throughput
   double peak_rss_mb = 0.0;  // process high-watermark after this scenario
   bool identical = false;
-  /// async_collect has no eager reference: eager1_ms and the speedups are
-  /// omitted from its JSON entry (check_perf.sh only gates keys the
-  /// baseline entry carries).
-  bool has_engine_speedups = true;
 };
 
 // Bounded-memory contract for the live streaming path: the peak RSS of a
@@ -252,9 +248,9 @@ ScenarioResult run_scenario(const std::string& name, Level level,
 }
 
 // The asynchronous collection path: pollers over a clean (fault-free)
-// transport, journalling disabled.  There is no eager reference for this
-// pipeline; the contract is thread-count byte-identity and the wall times
-// are reported 1-vs-8 threads.
+// transport, journalling disabled.  Eager@1 is the collector on the eager
+// engine; the streaming variants must report the same bytes at 1 and 8
+// pollers.
 ScenarioResult run_async_collect(std::size_t nodes, std::size_t reps) {
   const Rig rig = make_rig(nodes, Level::kL3);
 
@@ -263,33 +259,41 @@ ScenarioResult run_async_collect(std::size_t nodes, std::size_t reps) {
   base.campaign.meter_interval_override = Seconds{5.0};
   base.queue_capacity = 64;
 
-  const auto best_of = [&](unsigned threads) {
+  const auto best_of = [&](CampaignEngine engine, unsigned threads) {
     CollectorConfig cfg = base;
+    cfg.campaign.engine = engine;
     cfg.threads = threads;
-    double best_ms = 1e300;
-    CollectionOutcome out;
+    Timed out;
+    out.best_ms = 1e300;
     for (std::size_t r = 0; r < reps; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
-      out = collect_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
+      CollectionOutcome got =
+          collect_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
       const auto t1 = std::chrono::steady_clock::now();
-      best_ms = std::min(
-          best_ms, std::chrono::duration<double, std::milli>(t1 - t0).count());
+      out.best_ms = std::min(
+          out.best_ms,
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+      out.result = std::move(got.result);
     }
-    return std::pair<double, CollectionOutcome>(best_ms, std::move(out));
+    return out;
   };
 
-  const auto [ms1, out1] = best_of(1);
-  const auto [ms8, out8] = best_of(8);
+  const Timed te = best_of(CampaignEngine::kEager, 1);
+  const Timed t1 = best_of(CampaignEngine::kStreaming, 1);
+  const Timed t8 = best_of(CampaignEngine::kStreaming, 8);
 
   ScenarioResult s;
   s.name = "async_collect";
-  s.has_engine_speedups = false;
   s.samples =
       planned_samples(rig, base.campaign.meter_accuracy, Seconds{5.0});
-  s.stream1_ms = ms1;
-  s.stream8_ms = ms8;
-  s.samples_per_sec = static_cast<double>(s.samples) / (ms1 / 1e3);
-  s.identical = identical_reports(out1.result, out8.result);
+  s.eager1_ms = te.best_ms;
+  s.stream1_ms = t1.best_ms;
+  s.stream8_ms = t8.best_ms;
+  s.speedup_1t = te.best_ms / t1.best_ms;
+  s.speedup_8t = te.best_ms / t8.best_ms;
+  s.samples_per_sec = static_cast<double>(s.samples) / (t1.best_ms / 1e3);
+  s.identical = identical_reports(te.result, t1.result) &&
+                identical_reports(te.result, t8.result);
   s.peak_rss_mb = bench::peak_rss_mb();
   return s;
 }
@@ -315,17 +319,13 @@ void write_json(const std::string& path,
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const ScenarioResult& s = scenarios[i];
     out << "    \"" << s.name << "\": {\n"
-        << "      \"samples\": " << s.samples << ",\n";
-    if (s.has_engine_speedups) {
-      out << "      \"eager1_ms\": " << s.eager1_ms << ",\n";
-    }
-    out << "      \"stream1_ms\": " << s.stream1_ms << ",\n"
-        << "      \"stream8_ms\": " << s.stream8_ms << ",\n";
-    if (s.has_engine_speedups) {
-      out << "      \"speedup_1t\": " << s.speedup_1t << ",\n"
-          << "      \"speedup_8t\": " << s.speedup_8t << ",\n";
-    }
-    out << "      \"samples_per_sec\": " << s.samples_per_sec << ",\n"
+        << "      \"samples\": " << s.samples << ",\n"
+        << "      \"eager1_ms\": " << s.eager1_ms << ",\n"
+        << "      \"stream1_ms\": " << s.stream1_ms << ",\n"
+        << "      \"stream8_ms\": " << s.stream8_ms << ",\n"
+        << "      \"speedup_1t\": " << s.speedup_1t << ",\n"
+        << "      \"speedup_8t\": " << s.speedup_8t << ",\n"
+        << "      \"samples_per_sec\": " << s.samples_per_sec << ",\n"
         << "      \"peak_rss_mb\": " << s.peak_rss_mb << ",\n"
         << "      \"identical\": " << (s.identical ? "true" : "false")
         << "\n    }" << (i + 1 < scenarios.size() ? "," : "") << "\n";
@@ -395,12 +395,10 @@ int main() {
     return std::string(buf);
   };
   for (const ScenarioResult& s : scenarios) {
-    t.add_row({s.name, std::to_string(s.samples),
-               s.has_engine_speedups ? ms(s.eager1_ms) : "-",
-               ms(s.stream1_ms), ms(s.stream8_ms),
-               s.has_engine_speedups ? x(s.speedup_1t) : "-",
-               s.has_engine_speedups ? x(s.speedup_8t) : "-",
-               mb(s.peak_rss_mb), s.identical ? "yes" : "NO"});
+    t.add_row({s.name, std::to_string(s.samples), ms(s.eager1_ms),
+               ms(s.stream1_ms), ms(s.stream8_ms), x(s.speedup_1t),
+               x(s.speedup_8t), mb(s.peak_rss_mb),
+               s.identical ? "yes" : "NO"});
   }
   std::cout << t.render();
 

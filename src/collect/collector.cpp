@@ -129,6 +129,10 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
                                : plan.meter_interval;
   ctx.interval = interval;
   ctx.faulty = campaign.faults.enabled();
+  // The same gate ProvisionStage applies: streaming replies and the
+  // memoized Assess only on the exactly lowered model.
+  ctx.streaming = campaign.engine == CampaignEngine::kStreaming &&
+                  lowered_model_probe(cluster, electrical, plan);
   const std::vector<TimeWindow> windows = metered_windows(plan, interval);
   ctx.windows = windows;
 
@@ -188,7 +192,10 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
     }
   }
 
-  BoundedQueue<MeterRecord> queue(config.queue_capacity);
+  // Pollers hand the writer finished records already encoded (empty when
+  // not journaling): the text formatting runs in parallel on the poll
+  // pool, leaving the single writer only the append itself.
+  BoundedQueue<std::string> queue(config.queue_capacity);
   std::atomic<bool> cancelled{false};
 
   // The journal thread: the only writer.  A record is only "collected"
@@ -198,8 +205,8 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
   std::size_t journaled = 0;
   std::thread writer([&] {
     try {
-      while (auto rec = queue.pop()) {
-        if (journal) journal->append(encode_meter_record(*rec));
+      while (auto payload = queue.pop()) {
+        if (journal) journal->append(*payload);
         ++journaled;
         if (config.crash_after_meters > 0 &&
             journaled >= config.crash_after_meters) {
@@ -223,20 +230,42 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
   // over the poll pool: every lane's calibration stream is keyed by its
   // node id (Rng(seed ^ kCalibrationSalt, node), as the synchronous
   // stages draw it), so each poll task just reads its lane instead of
-  // re-deriving the model inline.  Polling walks the eager truth chain,
-  // so no PSU lanes are bound (ac_tap = false).
+  // re-deriving the model inline.  Streaming replies also read the lane's
+  // mean draw and (node-AC taps) its compiled PSU curve; the eager truth
+  // chain needs neither.
   FleetProvisionSpec fspec;
   fspec.accuracy = campaign.meter_accuracy;
   fspec.mode = plan.meter_mode;
   fspec.interval = interval;
   fspec.seed = campaign.seed;
-  fspec.ac_tap = false;
+  fspec.ac_tap = ctx.streaming && plan.point != MeasurementPoint::kNodeDc;
   const FleetState fleet = build_fleet_state(
-      plan.node_indices, fspec, windows, nullptr, nullptr, nullptr, pool);
+      plan.node_indices, fspec, windows, nullptr,
+      ctx.streaming ? &cluster : nullptr,
+      ctx.streaming ? &electrical : nullptr, pool);
+
+  // One shape table per poll chunk, shared by every meter: the chunk
+  // layout is the poller's own (poll_chunk_layout), and each chunk window
+  // is tabulated as a window of its own — sample i at chunk.begin + dt·i
+  // over measure_into's sample count — so the kernels replay the eager
+  // reply's exact time grid.  O(chunks), independent of the cohort size.
+  std::vector<ShapeTable> chunk_tables;
+  if (ctx.streaming) {
+    const std::vector<PollChunk> chunks = poll_chunk_layout(
+        windows, plan.window, interval, config.poller.chunk_duration);
+    chunk_tables.resize(chunks.size());
+    for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+      const TimeWindow& cw = chunks[ci].window;
+      build_shape_chunk(cluster, cw, interval, plan.meter_mode, 0,
+                        window_sample_count(cw, interval), chunk_tables[ci]);
+    }
+  }
+  std::vector<StreamScratch> scratch(dynamic_slots(pool, to_poll.size()));
 
   std::exception_ptr poll_error;
   std::mutex poll_error_mu;
-  parallel_for_dynamic(pool, to_poll.size(), [&](std::size_t k) {
+  parallel_for_dynamic_slots(pool, to_poll.size(), [&](std::size_t slot,
+                                                       std::size_t k) {
     if (cancelled.load(std::memory_order_relaxed)) return;
     try {
       const std::size_t i = to_poll[k];
@@ -244,11 +273,18 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
       PollJob job;
       job.meter_id = node;
       job.meter = &fleet.meters[i];
-      job.truth = plan.point == MeasurementPoint::kNodeDc
-                      ? PowerFunction([&electrical, node](double t) {
-                          return electrical.node_dc_w(node, t);
-                        })
-                      : electrical.node_ac_function(node);
+      if (ctx.streaming) {
+        job.tables = &chunk_tables;
+        job.mean_w = fleet.mean_w[i];
+        job.curve = fleet.curve[i];
+        job.scratch = &scratch[slot];
+      } else {
+        job.truth = plan.point == MeasurementPoint::kNodeDc
+                        ? PowerFunction([&electrical, node](double t) {
+                            return electrical.node_dc_w(node, t);
+                          })
+                        : electrical.node_ac_function(node);
+      }
       job.windows = windows;
       job.campaign_window = plan.window;
       job.seed = campaign.seed;
@@ -262,8 +298,9 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
         apply_dc_conversion(plan, electrical, node, rec.reading.mean_w,
                             rec.reading.energy_j);
       }
-      records[i] = rec;
-      queue.push(std::move(rec));  // false after close: we are cancelled
+      // push returns false after close: the run is being cancelled.
+      queue.push(journal ? encode_meter_record(rec) : std::string());
+      records[i] = std::move(rec);
     } catch (...) {
       std::lock_guard lock(poll_error_mu);
       if (!poll_error) poll_error = std::current_exception();
@@ -323,6 +360,7 @@ void AsyncMeterStage::run(CampaignContext& ctx, StageTrace& trace) {
       {"abandoned", static_cast<double>(cq.meters_abandoned)},
       {"resumed", static_cast<double>(outcome.meters_resumed)},
       {"lost", static_cast<double>(lost)},
+      {"engine_streaming", ctx.streaming ? 1.0 : 0.0},
   };
 }
 
@@ -350,8 +388,10 @@ CollectionOutcome collect_campaign(const ClusterPowerModel& cluster,
 
   // The async transport is just another Meter-stage implementation: swap
   // it into the campaign pipeline and reuse the Aggregate/Assess tail the
-  // synchronous engines run (core/pipeline).  The eager truth-function
-  // path is used per meter, so streaming stays off.
+  // synchronous engines run (core/pipeline).  The Meter stage runs the
+  // same lowered-model probe as ProvisionStage: when it holds (and the
+  // engine is streaming), poll replies come from the streaming kernels
+  // and Assess takes the memoized ground truth — same doubles, either way.
   CampaignContext ctx;
   ctx.cluster = &cluster;
   ctx.electrical = &electrical;

@@ -11,40 +11,35 @@ namespace {
 constexpr std::uint64_t kChunkNoiseSalt = 0xC011EC7EDULL;
 constexpr std::uint64_t kBackoffSalt = 0xBAC0FF5ALL;
 
-// One request's worth of trace.
-struct Chunk {
-  TimeWindow window;
-  std::size_t window_index = 0;  ///< which plan window it belongs to
-  std::size_t samples = 0;
-  double avail_s = 0.0;  ///< virtual time the data exists (chunk end)
-};
+}  // namespace
 
-std::vector<Chunk> build_chunks(const PollJob& job,
-                                const PollerConfig& config) {
-  const double dt = job.meter->interval().value();
+std::vector<PollChunk> poll_chunk_layout(const std::vector<TimeWindow>& windows,
+                                         TimeWindow campaign_window,
+                                         Seconds interval,
+                                         Seconds chunk_duration) {
+  const double dt = interval.value();
   const auto chunk_samples = std::max<std::size_t>(
       1, static_cast<std::size_t>(
-             std::floor(config.chunk_duration.value() / dt + 1e-9)));
-  std::vector<Chunk> chunks;
-  for (std::size_t wi = 0; wi < job.windows.size(); ++wi) {
-    const TimeWindow& w = job.windows[wi];
-    const std::size_t n = job.meter->samples_in(w);
+             std::floor(chunk_duration.value() / dt + 1e-9)));
+  std::vector<PollChunk> chunks;
+  for (std::size_t wi = 0; wi < windows.size(); ++wi) {
+    const TimeWindow& w = windows[wi];
+    // MeterModel::samples_in's arithmetic: invalid windows hold nothing.
+    const std::size_t n = w.valid() ? window_sample_count(w, interval) : 0;
     for (std::size_t first = 0; first < n; first += chunk_samples) {
       const std::size_t len = std::min(chunk_samples, n - first);
-      Chunk c;
+      PollChunk c;
       c.window = {Seconds{w.begin.value() + dt * static_cast<double>(first)},
                   Seconds{w.begin.value() +
                           dt * static_cast<double>(first + len)}};
       c.window_index = wi;
       c.samples = len;
-      c.avail_s = c.window.end.value() - job.campaign_window.begin.value();
+      c.avail_s = c.window.end.value() - campaign_window.begin.value();
       chunks.push_back(c);
     }
   }
   return chunks;
 }
-
-}  // namespace
 
 MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
                        const PollerConfig& config) {
@@ -57,7 +52,15 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
   MeterRecord rec;
   rec.reading.node = job.meter_id;
 
-  const std::vector<Chunk> chunks = build_chunks(job, config);
+  const std::vector<PollChunk> chunks =
+      poll_chunk_layout(job.windows, job.campaign_window,
+                        job.meter->interval(), config.chunk_duration);
+  const bool streaming = job.tables != nullptr;
+  if (streaming) {
+    PV_EXPECTS(job.tables->size() == chunks.size(),
+               "streaming poll needs one shape table per chunk");
+    PV_EXPECTS(job.scratch != nullptr, "streaming poll needs scratch");
+  }
   CircuitBreaker breaker(config.breaker);
   Rng backoff_rng(job.seed ^ kBackoffSalt, job.meter_id);
 
@@ -69,10 +72,10 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
   double now_s = 0.0;   // virtual clock: 0 == campaign window begin
   double busy_s = 0.0;  // time actually spent waiting on this meter
   std::size_t delivered = 0;
-  std::vector<double> readings;  // chunk reply buffer, reused per chunk
+  std::vector<double> eager_readings;  // eager reply buffer, reused
 
   for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
-    const Chunk& chunk = chunks[ci];
+    const PollChunk& chunk = chunks[ci];
     rec.samples_expected += chunk.samples;
     now_s = std::max(now_s, chunk.avail_s);  // data must exist first
 
@@ -106,8 +109,15 @@ MeterRecord poll_meter(const PollJob& job, const SimTransport& transport,
     // retries, duplicates and resumed runs see identical values.
     Rng noise(job.seed ^ kChunkNoiseSalt,
               mix_streams(job.meter_id, ci));
-    job.meter->measure_into(job.truth, chunk.window.begin, chunk.window.end,
-                            noise, readings);
+    if (streaming) {
+      stream_node_window((*job.tables)[ci], job.mean_w, job.curve,
+                         *job.meter, noise, *job.scratch);
+    } else {
+      job.meter->measure_into(job.truth, chunk.window.begin,
+                              chunk.window.end, noise, eager_readings);
+    }
+    const std::vector<double>& readings =
+        streaming ? job.scratch->readings : eager_readings;
     double sum = 0.0;
     for (double w : readings) sum += w;
     window_sum[chunk.window_index] += sum;

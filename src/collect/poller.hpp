@@ -25,6 +25,8 @@
 #include "collect/retry.hpp"
 #include "collect/transport.hpp"
 #include "meter/meter.hpp"
+#include "meter/psu.hpp"
+#include "sim/streaming.hpp"
 #include "trace/time_series.hpp"
 
 namespace pv {
@@ -41,6 +43,25 @@ struct PollerConfig {
   double min_coverage = 0.5;
 };
 
+/// One request's worth of trace.
+struct PollChunk {
+  TimeWindow window;             ///< the chunk's samples, [begin, end)
+  std::size_t window_index = 0;  ///< which plan window it belongs to
+  std::size_t samples = 0;       ///< readings the chunk covers
+  double avail_s = 0.0;  ///< virtual time the data exists (chunk end)
+};
+
+/// The chunk layout every meter of a campaign is polled in: each plan
+/// window's samples (the MeterModel::samples_in count at `interval`) cut
+/// into runs of floor(chunk_duration / interval) readings, at least one,
+/// the last run of a window possibly partial.  Chunk i of a window starts
+/// at w.begin + interval * first, with `first` the window-local index of
+/// its first sample.  poll_meter and the collector's per-chunk shape
+/// tables both derive their layout here, so table ci describes chunk ci.
+[[nodiscard]] std::vector<PollChunk> poll_chunk_layout(
+    const std::vector<TimeWindow>& windows, TimeWindow campaign_window,
+    Seconds interval, Seconds chunk_duration);
+
 /// One meter's polling assignment.
 struct PollJob {
   std::size_t meter_id = 0;  ///< node id; also the RNG stream key
@@ -49,6 +70,17 @@ struct PollJob {
   std::vector<TimeWindow> windows;    ///< the plan's metered windows
   TimeWindow campaign_window;         ///< full plan window (clock origin)
   std::uint64_t seed = 0;             ///< campaign seed
+
+  // --- streaming replies (optional) --------------------------------------
+  /// One shape table per poll_chunk_layout chunk, each built over the
+  /// chunk window as a window of its own (sample i at chunk.begin + dt·i,
+  /// as measure_into computes it) and shared by every meter.  Set, chunk
+  /// replies come from stream_node_window instead of walking `truth` —
+  /// bit-identical readings and noise draws (sim/streaming.hpp).
+  const std::vector<ShapeTable>* tables = nullptr;
+  double mean_w = 0.0;  ///< the node's mean DC draw
+  const CompiledPsuCurve* curve = nullptr;  ///< node PSU; null = DC tap
+  StreamScratch* scratch = nullptr;  ///< the polling worker's buffers
 };
 
 /// Runs the full poll loop for one meter.  Deterministic per (seed,

@@ -574,33 +574,12 @@ class ProvisionStage final : public CampaignStage {
           ctx.analysis = make_analysis_windows(
               ctx.windows, config.reconcile.analysis_windows);
         }
-        // Streaming engine: valid when the electrical model really is the
-        // cluster lowered through make_system_power_model, i.e. each
-        // node's DC truth is its mean times the shared shape.  Probed
-        // exactly — any mismatch (a hand-built SystemPowerModel) falls
+        // Streaming engine: engaged only when the exact lowered-model
+        // probe holds — any mismatch (a hand-built SystemPowerModel) falls
         // back to the eager path, whose arithmetic the kernels reproduce
         // bit-for-bit anyway.
-        bool streaming = config.engine == CampaignEngine::kStreaming;
-        if (streaming) {
-          const std::size_t probe = plan.node_indices.front();
-          PV_EXPECTS(probe < cluster.node_count(),
-                     "plan references missing node");
-          // Probe the metered window (the kernels) and the core window
-          // (the memoized ground truth) alike.
-          const TimeWindow core = cluster.phases().core_window();
-          for (const TimeWindow& w : {plan.window, core}) {
-            for (double frac : {0.25, 0.5, 0.75}) {
-              const double t = w.begin.value() + frac * w.duration().value();
-              const double lowered =
-                  cluster.node_means()[probe] * cluster.shape_factor(t);
-              if (electrical.node_dc_w(probe, t) != lowered) {
-                streaming = false;
-                break;
-              }
-            }
-            if (!streaming) break;
-          }
-        }
+        const bool streaming = config.engine == CampaignEngine::kStreaming &&
+                               lowered_model_probe(cluster, electrical, plan);
         ctx.streaming = streaming;
         // The live (bounded-memory) meter stage builds its own per-chunk
         // shape tables on the fly — materializing every window here would
@@ -1586,6 +1565,26 @@ class AssessStage final : public CampaignStage {
 };
 
 }  // namespace
+
+bool lowered_model_probe(const ClusterPowerModel& cluster,
+                         const SystemPowerModel& electrical,
+                         const MeasurementPlan& plan) {
+  PV_EXPECTS(!plan.node_indices.empty(), "plan selects no nodes");
+  const std::size_t probe = plan.node_indices.front();
+  PV_EXPECTS(probe < cluster.node_count(), "plan references missing node");
+  // Probe the metered window (the kernels) and the core window (the
+  // memoized ground truth) alike.
+  const TimeWindow core = cluster.phases().core_window();
+  for (const TimeWindow& w : {plan.window, core}) {
+    for (double frac : {0.25, 0.5, 0.75}) {
+      const double t = w.begin.value() + frac * w.duration().value();
+      const double lowered =
+          cluster.node_means()[probe] * cluster.shape_factor(t);
+      if (electrical.node_dc_w(probe, t) != lowered) return false;
+    }
+  }
+  return true;
+}
 
 Watts true_scope_power(const ClusterPowerModel& cluster,
                        const SystemPowerModel& electrical,

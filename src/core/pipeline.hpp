@@ -172,6 +172,17 @@ using StagePtr = std::unique_ptr<CampaignStage>;
 /// Uses the memoized integrand when the streaming probe held.
 [[nodiscard]] StagePtr make_assess_stage();
 
+/// The streaming engine's exact lowered-model probe: true when the first
+/// planned node's DC truth bit-equals mean × shape_factor(t) at the
+/// quarter points of the metered window and of the core window — i.e.
+/// `electrical` is `cluster` lowered through make_system_power_model, so
+/// the streaming kernels and the memoized ground truth return the eager
+/// path's exact doubles.  A hand-built model fails it and stays eager.
+/// ProvisionStage and the async collector both gate streaming on it.
+[[nodiscard]] bool lowered_model_probe(const ClusterPowerModel& cluster,
+                                       const SystemPowerModel& electrical,
+                                       const MeasurementPlan& plan);
+
 /// Assembles the full stage list run_campaign executes for `plan`:
 /// Provision, the tap-point Meter stage, Repair, Reconcile (node taps
 /// with the defense enabled), Aggregate, Assess.  Exposed so callers —

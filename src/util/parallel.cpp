@@ -170,12 +170,24 @@ void parallel_chunks(
 
 void parallel_for_dynamic(ThreadPool* pool, std::size_t n,
                           const std::function<void(std::size_t)>& body) {
+  parallel_for_dynamic_slots(
+      pool, n, [&body](std::size_t, std::size_t i) { body(i); });
+}
+
+std::size_t dynamic_slots(const ThreadPool* pool, std::size_t n) {
+  if (pool == nullptr || pool->size() <= 1 || n == 0) return 1;
+  return std::min<std::size_t>(pool->size(), n);
+}
+
+void parallel_for_dynamic_slots(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  if (pool == nullptr || pool->size() <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
+  const std::size_t workers = dynamic_slots(pool, n);
+  if (workers == 1) {
+    for (std::size_t i = 0; i < n; ++i) body(0, i);
     return;
   }
-  const std::size_t workers = std::min<std::size_t>(pool->size(), n);
 
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
@@ -187,12 +199,12 @@ void parallel_for_dynamic(ThreadPool* pool, std::size_t n,
   std::condition_variable done_cv;
 
   for (std::size_t w = 0; w < workers; ++w) {
-    pool->submit([&] {
+    pool->submit([&, w] {
       try {
         for (;;) {
           const std::size_t i = next.fetch_add(1);
           if (i >= n) break;
-          body(i);
+          body(w, i);
         }
       } catch (...) {
         std::scoped_lock lock(err_mu);

@@ -112,6 +112,19 @@ void parallel_chunks(
 void parallel_for_dynamic(ThreadPool* pool, std::size_t n,
                           const std::function<void(std::size_t)>& body);
 
+/// Worker slots parallel_for_dynamic_slots hands out for `n` indices on
+/// `pool`: min(pool size, n), or 1 when it runs inline.
+[[nodiscard]] std::size_t dynamic_slots(const ThreadPool* pool,
+                                        std::size_t n);
+
+/// parallel_for_dynamic that also tells the body which worker runs it:
+/// body(slot, i) with slot in [0, dynamic_slots(pool, n)), each slot held
+/// by one worker for the whole call — so callers size one scratch buffer
+/// per slot and pass it in explicitly, no thread_local state.
+void parallel_for_dynamic_slots(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, std::size_t)>& body);
+
 /// Process-wide default pool, created on first use.
 ThreadPool& default_pool();
 

@@ -268,6 +268,39 @@ TEST(ParallelForDynamic, BalancesWildlyUnevenWork) {
   EXPECT_EQ(count.load(), 2000);
 }
 
+TEST(ParallelForDynamic, SlotsAreExclusivePerWorker) {
+  // Per-worker scratch indexed by slot must never be shared by two
+  // concurrently running bodies.
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 4000;
+  const std::size_t slots = dynamic_slots(&pool, kN);
+  EXPECT_EQ(slots, 4u);
+  std::vector<std::atomic<bool>> busy(slots);
+  std::vector<std::atomic<int>> touched(kN);
+  std::atomic<int> overlaps{0};
+  parallel_for_dynamic_slots(&pool, kN, [&](std::size_t slot, std::size_t i) {
+    ASSERT_LT(slot, slots);
+    if (busy[slot].exchange(true)) overlaps.fetch_add(1);
+    touched[i].fetch_add(1);
+    std::this_thread::yield();
+    busy[slot].store(false);
+  });
+  EXPECT_EQ(overlaps.load(), 0);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(touched[i].load(), 1) << "index " << i;
+  }
+
+  // Inline runs (no pool, one worker, fewer indices than workers) use
+  // slot 0 / at most n slots.
+  EXPECT_EQ(dynamic_slots(nullptr, 5), 1u);
+  EXPECT_EQ(dynamic_slots(&pool, 2), 2u);
+  std::vector<std::size_t> seen;
+  parallel_for_dynamic_slots(nullptr, 3, [&](std::size_t slot, std::size_t) {
+    seen.push_back(slot);
+  });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 0, 0}));
+}
+
 TEST(DefaultPool, IsSingletonAndUsable) {
   ThreadPool& a = default_pool();
   ThreadPool& b = default_pool();

@@ -98,6 +98,15 @@ expect_exit "absurd node count exits 2" 2 \
   "exceeds the supported fleet scale" \
   -- campaign --nodes 99999999 --level 1 --seed 7 --interval 10
 
+# An unknown engine is a bad command line for both subcommands that take
+# --engine: same diagnostic, usage exit code 2.
+expect_exit "campaign --engine bogus exits 2" 2 \
+  "engine must be eager or streaming" \
+  -- campaign --nodes 64 --level 1 --seed 7 --engine bogus
+expect_exit "collect --engine bogus exits 2" 2 \
+  "engine must be eager or streaming" \
+  -- collect --nodes 64 --level 1 --seed 7 --engine bogus
+
 # A campaign that loses every meter has no number to submit: that is a
 # campaign outcome with its own exit code (4), not the generic catch-all.
 expect_exit "all node meters dead exits 4" 4 "every node meter was lost" \

@@ -406,3 +406,52 @@ if [[ "$live_soa" != "$live_scalar" ]]; then
 fi
 
 echo "OK: fleet-SoA kernels match the scalar path and are thread-count invariant"
+
+# ---------------------------------------------------------------------------
+# Collector-engine contract: the async collector's streaming replies
+# (per-chunk shape tables + kernels) and memoized ground truth are a pure
+# optimization — `collect --engine eager` and `--engine streaming` print
+# byte-identical text and JSON over a lossy channel, and a collection
+# killed under one engine resumes under the other to the same bytes.
+engine_args=(collect --nodes 64 --cv 0.03 --level 3 --seed 11 --drop 0.1
+             --dup 0.05 --blackhole 0.1 --interval 10 --threads 4)
+
+for extra in "" --json; do
+  eager_out="$("$powervar" "${engine_args[@]}" --engine eager $extra \
+               2>/dev/null)"
+  stream_out="$("$powervar" "${engine_args[@]}" --engine streaming $extra \
+                2>/dev/null)"
+  if [[ "$eager_out" != "$stream_out" ]]; then
+    echo "FAIL: collect ${extra:-text} output differs between engines" >&2
+    diff <(printf '%s\n' "$eager_out") <(printf '%s\n' "$stream_out") >&2 || true
+    exit 1
+  fi
+done
+engine_text="$("$powervar" "${engine_args[@]}" 2>/dev/null)"
+if ! grep -q "collection path" <<<"$engine_text"; then
+  echo "FAIL: engine collect printed no collection-path block" >&2
+  exit 1
+fi
+
+for pair in "eager streaming" "streaming eager"; do
+  read -r crash_engine resume_engine <<<"$pair"
+  wal="$tmpdir/engine-$crash_engine.wal"
+  set +e
+  "$powervar" "${engine_args[@]}" --engine "$crash_engine" \
+      --checkpoint "$wal" --crash-after 5 >/dev/null 2>&1
+  crash_rc=$?
+  set -e
+  if [[ "$crash_rc" -ne 3 ]]; then
+    echo "FAIL: --engine $crash_engine --crash-after exited $crash_rc, want 3" >&2
+    exit 1
+  fi
+  switched_out="$("$powervar" "${engine_args[@]}" --engine "$resume_engine" \
+                  --checkpoint "$wal" --resume 1 2>/dev/null)"
+  if [[ "$switched_out" != "$engine_text" ]]; then
+    echo "FAIL: crash under $crash_engine, resume under $resume_engine diverged" >&2
+    diff <(printf '%s\n' "$engine_text") <(printf '%s\n' "$switched_out") >&2 || true
+    exit 1
+  fi
+done
+
+echo "OK: collect is byte-identical under the eager and streaming engines"

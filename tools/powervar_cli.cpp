@@ -46,11 +46,14 @@
 //                    [--retries K] [--chunk S] [--breaker-after K]
 //                    [--cooldown S] [--threads N] [--interval S]
 //                    [--checkpoint FILE] [--resume 1] [--crash-after K]
+//                    [--engine eager|streaming]
 //       Same synthetic campaign, collected through the asynchronous
 //       pipeline: flaky transport, retry/backoff, circuit breakers, and a
 //       crash-safe journal.  The accuracy report goes to stdout (it is
 //       byte-identical between a clean run and a kill-and-resume pair);
-//       collection progress goes to stderr.
+//       collection progress goes to stderr.  --engine picks how poll
+//       replies and the ground truth are computed; both engines print
+//       identical bytes.
 //
 //   powervar serve --requests FILE|- [--resume CHECKPOINT] [--stream]
 //                  [--once] [--workers N] [--queue N] [--tenant-queue N]
@@ -375,6 +378,17 @@ SyntheticRig make_synthetic_rig(const Args& args, int default_level = 1) {
   return rig;
 }
 
+/// --engine eager|streaming, shared by `campaign` and `collect`.  Both
+/// engines report identical bytes; eager is the reference path.
+CampaignEngine parse_engine(const Args& args) {
+  const std::string engine = args.text_or("engine", "streaming");
+  if (engine == "eager") return CampaignEngine::kEager;
+  if (engine != "streaming") {
+    throw UsageError("--engine must be eager or streaming");
+  }
+  return CampaignEngine::kStreaming;
+}
+
 int cmd_campaign(const Args& args) {
   const SyntheticRig rig = make_synthetic_rig(args);
 
@@ -405,12 +419,7 @@ int cmd_campaign(const Args& args) {
       static_cast<unsigned>(args.number_or("threads", 0.0));
   config.reconcile.threads = threads;
   config.threads = std::max<std::size_t>(1, threads);
-  const std::string engine = args.text_or("engine", "streaming");
-  if (engine == "eager") {
-    config.engine = CampaignEngine::kEager;
-  } else if (engine != "streaming") {
-    throw std::runtime_error("--engine must be eager or streaming");
-  }
+  config.engine = parse_engine(args);
   // The fused SoA fleet kernels are the default; --scalar-fleet forces
   // the per-node path (the check_determinism.sh differential uses this —
   // both paths must report identical bytes).
@@ -475,6 +484,7 @@ int cmd_collect(const Args& args) {
   config.campaign.seed = rig.seed;
   config.campaign.meter_interval_override =
       Seconds{args.number_or("interval", 0.0)};
+  config.campaign.engine = parse_engine(args);
 
   config.transport.latency.base_s = args.number_or("latency", 20.0) / 1000.0;
   config.transport.latency.jitter_s = args.number_or("jitter", 30.0) / 1000.0;
@@ -804,8 +814,9 @@ int usage() {
       " [--retries K]\n"
       "              [--chunk S] [--breaker-after K] [--cooldown S]\n"
       "              [--threads N] [--interval S] [--checkpoint FILE]\n"
-      "              [--resume 1] [--crash-after K] [--json]"
-      " [--trace-stages]\n"
+      "              [--resume 1] [--crash-after K]"
+      " [--engine eager|streaming]\n"
+      "              [--json] [--trace-stages]\n"
       "  serve       --requests FILE|- [--resume CHECKPOINT] [--stream]\n"
       "              [--once] [--workers N] [--queue N] [--tenant-queue N]\n"
       "              [--deadline-ms MS] [--retry-after S] [--cache N]\n"
