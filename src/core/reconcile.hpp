@@ -95,9 +95,11 @@ struct ReconcilePolicy {
   /// Median |relative residual| above which a hierarchy check whose
   /// children all look honest indicts the parent meter instead.
   double parent_residual_floor = 0.05;
-  /// Worker threads for the campaign's metering fan-out (0 = serial).
-  /// Results are keyed by meter identity, so any value gives bit-identical
-  /// output.
+  /// Worker threads for the campaign's metering fan-out and for the
+  /// cohort pass of reconcile_meters (per-window reference medians,
+  /// per-meter log-ratio statistics and diagnoses); 0 or 1 = serial.
+  /// Every unit writes only its own slot and the cross-meter reductions
+  /// run serially in meter order, so any value gives bit-identical output.
   unsigned threads = 0;
 };
 
@@ -191,9 +193,10 @@ struct CusumResult {
 [[nodiscard]] double theil_sen_slope(std::span<const double> xs);
 
 /// Runs the cohort diagnostics over `meters` and the hierarchy residual
-/// checks over `checks`.  Meters must share one series length; fewer than
-/// three meters (or fewer than four windows) cannot form a cohort and come
-/// back trusted.
+/// checks over `checks`.  Meters must share one series length and have
+/// unique ids; fewer than three meters (or fewer than four windows) cannot
+/// form a cohort and come back trusted.  The cohort pass fans out over
+/// `policy.threads` workers; the report is bit-identical at any count.
 [[nodiscard]] ReconcileReport reconcile_meters(
     const std::vector<MeterSeries>& meters,
     const std::vector<HierarchyCheck>& checks, const ReconcilePolicy& policy);

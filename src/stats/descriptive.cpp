@@ -104,6 +104,23 @@ double quantile(std::span<const double> xs, double q) {
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
+double median_in_place(std::span<double> xs) {
+  PV_EXPECTS(!xs.empty(), "quantile of empty sample");
+  if (xs.size() == 1) return xs.front();
+  // quantile()'s type-7 expression at q = 0.5 on the two order statistics
+  // it reads, found by selection instead of a full sort.  Those values
+  // are fixed by the multiset; only the signs of tied zeros may land
+  // differently, and the expression maps every zero pair to +0 either way.
+  const double h = 0.5 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(h));
+  const double frac = h - static_cast<double>(lo);
+  const auto mid = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), mid, xs.end());
+  const double a = *mid;
+  const double b = *std::min_element(mid + 1, xs.end());
+  return a + frac * (b - a);
+}
+
 double skewness(std::span<const double> xs) {
   PV_EXPECTS(xs.size() >= 3, "skewness needs n >= 3");
   const Summary s = summarize(xs);

@@ -64,6 +64,11 @@ struct Summary {
 /// Median shorthand.
 [[nodiscard]] double median(std::span<const double> xs);
 
+/// median() by selection, permuting `xs` in place: O(n), no allocation,
+/// and the same bits median() returns for any NaN-free sample.  Hot
+/// loops pass a reused scratch buffer.
+[[nodiscard]] double median_in_place(std::span<double> xs);
+
 /// Sample skewness (adjusted Fisher–Pearson); requires n >= 3.
 [[nodiscard]] double skewness(std::span<const double> xs);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "stats/rng.hpp"
@@ -137,6 +138,31 @@ TEST(Moments, GuardsOnDegenerateInput) {
   EXPECT_THROW(excess_kurtosis(constant), contract_error);
   const std::vector<double> two{1.0, 2.0};
   EXPECT_THROW(skewness(two), contract_error);
+}
+
+TEST(MedianInPlace, BitIdenticalToMedianIncludingSignedZeros) {
+  // Selection instead of a sort: ties, negative and positive zeros and
+  // both parities must still give median()'s exact bits.
+  Rng rng(21);
+  const double pool[] = {-0.0, 0.0, 1.5, -2.25, 3.0, -0.0, 0.0, 1e-300};
+  std::vector<double> xs;
+  std::vector<double> scratch;
+  for (int trial = 0; trial < 2000; ++trial) {
+    xs.clear();
+    const auto n = 1 + static_cast<std::size_t>(rng.uniform() * 23.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      xs.push_back(rng.uniform() < 0.6
+                       ? pool[static_cast<std::size_t>(rng.uniform() * 8.0)]
+                       : rng.normal(0.0, 1.0));
+    }
+    scratch = xs;
+    const double expected = median(xs);
+    const double got = median_in_place(scratch);
+    EXPECT_EQ(std::memcmp(&expected, &got, sizeof got), 0)
+        << "trial " << trial << ": " << expected << " vs " << got;
+  }
+  std::vector<double> empty;
+  EXPECT_THROW((void)median_in_place(empty), contract_error);
 }
 
 }  // namespace

@@ -99,6 +99,36 @@ fi
 
 echo "OK: byzantine reconciliation is thread-count invariant"
 
+# Same contract at fleet scale, past every parallel grain: a 2048-node
+# Level 3 campaign with harsh faults and 5 % liars fans the cohort pass
+# out and reads the hierarchy through memoized check meters on the
+# streaming engine — text and JSON must match the serial run and the
+# eager engine (direct check-meter evaluation) byte for byte.
+fleet_byz_args=(campaign --nodes 2048 --level 3 --seed 5 --faults harsh
+                --byzantine 0.05 --reconcile 1 --interval 10)
+
+for extra in "" --json; do
+  fleet_serial="$("$powervar" "${fleet_byz_args[@]}" --threads 1 $extra)"
+  for variant in "--threads 4" "--threads 1 --engine eager"; do
+    # shellcheck disable=SC2086  # $variant and $extra are flag lists
+    fleet_other="$("$powervar" "${fleet_byz_args[@]}" $variant $extra)"
+    if [[ "$fleet_serial" != "$fleet_other" ]]; then
+      echo "FAIL: fleet-scale reconciled campaign${extra:+ ($extra)}" \
+           "diverged under $variant" >&2
+      diff <(printf '%s\n' "$fleet_serial") \
+           <(printf '%s\n' "$fleet_other") >&2 || true
+      exit 1
+    fi
+  done
+done
+if ! grep -Eq "meters checked: +[0-9]+ \([1-9][0-9]* quarantined" \
+    <<<"$("$powervar" "${fleet_byz_args[@]}" --threads 4)"; then
+  echo "FAIL: fleet-scale byzantine campaign quarantined nothing" >&2
+  exit 1
+fi
+
+echo "OK: fleet-scale reconciliation is thread-count and engine invariant"
+
 # ---------------------------------------------------------------------------
 # JSON-mode contract: the machine-readable rendering is as deterministic
 # as the text one (stage traces included — wall clock stays out of the

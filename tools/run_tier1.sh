@@ -48,16 +48,18 @@ ctest --test-dir "${build_dir}-ubsan" --output-on-failure -j "$jobs" -LE perf
 # ThreadSanitizer tree for the genuinely concurrent surfaces: the
 # campaign service (soak included), the thread pool, the bounded queue,
 # the live streaming assessment (its meter stage fans chunk kernels
-# out across worker threads between emission barriers) and the fleet-SoA
+# out across worker threads between emission barriers), the fleet-SoA
 # suite (sharded provision + fused batch/live drivers across thread
-# counts).  TSan finds the races ASan cannot; the deterministic numeric
-# suites gain nothing from it, so the filter keeps this pass fast.
+# counts) and the reconcile suites (the cohort pass fans out per window
+# and per meter with per-worker scratch).  TSan finds the races ASan
+# cannot; the deterministic numeric suites gain nothing from it, so the
+# filter keeps this pass fast.
 # Wall-time-sensitive gates are excluded as in the other trees.
 echo "=== tier 1: TSan build + concurrency ctest (${build_dir}-tsan) ==="
 cmake -B "${build_dir}-tsan" -S . -DPV_TSAN=ON >/dev/null
 cmake --build "${build_dir}-tsan" -j "$jobs"
 ctest --test-dir "${build_dir}-tsan" --output-on-failure -j "$jobs" \
-  -R 'ThreadPool|ParallelFor|DefaultPool|BoundedQueue|CampaignService|ServiceChaos|Collector|StreamingAssessment|FleetSoA' \
+  -R 'ThreadPool|ParallelFor|DefaultPool|BoundedQueue|CampaignService|ServiceChaos|Collector|StreamingAssessment|FleetSoA|Reconcile' \
   -LE perf
 
 echo "=== tier 1: all green ==="
