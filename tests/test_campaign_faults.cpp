@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
@@ -229,6 +231,86 @@ TEST(CampaignFaults, FacilityFeedRepairsButCannotLoseItsOnlyMeter) {
   dead.faults.dead_meters = {9'999'999};
   EXPECT_THROW(run_campaign(*rig.cluster, *rig.electrical, plan, dead),
                std::runtime_error);
+}
+
+// Rack-PDU and facility-feed taps pinned bit for bit: the FNV-1a digest of
+// the rendered assessment JSON, identical on both engines and at any
+// thread count.  The tolerance checks above would let a last-bit drift in
+// the shared clean/faulted/finish arithmetic pass silently.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// Returns the last run so callers can check the case degraded as meant.
+CampaignResult expect_tap_digest(const Rig& rig, const MeasurementPlan& plan,
+                                 CampaignConfig cfg, std::uint64_t expected,
+                                 const std::string& what) {
+  CampaignResult r;
+  for (const CampaignEngine engine :
+       {CampaignEngine::kEager, CampaignEngine::kStreaming}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      cfg.engine = engine;
+      cfg.threads = threads;
+      r = run_campaign(*rig.cluster, *rig.electrical, plan, cfg);
+      EXPECT_EQ(fnv1a(render_json(assessment_document(plan, r))), expected)
+          << what
+          << (engine == CampaignEngine::kEager ? ", eager" : ", streaming")
+          << ", threads=" << threads;
+    }
+  }
+  return r;
+}
+
+MeasurementPlan tap_plan(const Rig& rig, Level level, MeasurementPoint point,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  auto plan = plan_measurement(MethodologySpec::get(level, Revision::kV2015),
+                               rig.inputs, rng);
+  plan.point = point;
+  return plan;
+}
+
+TEST(CampaignFaults, RackTapDigestsArePinned) {
+  const Rig rig = make_rig(128);
+  const auto plan = tap_plan(rig, Level::kL1, MeasurementPoint::kRackPdu, 8);
+  expect_tap_digest(rig, plan, fast_config(), 0xdd651b631fc3f091ULL,
+                    "rack clean");
+
+  CampaignConfig harsh = fast_config();
+  harsh.faults.spec = FaultSpec::harsh();
+  harsh.seed = 21;
+  EXPECT_GT(expect_tap_digest(rig, plan, harsh, 0xe4cb601fab6799f1ULL,
+                              "rack harsh")
+                .data_quality.samples_repaired,
+            0u);
+
+  CampaignConfig dead = fast_config();
+  dead.faults.dead_meters = {plan.node_indices.front() /
+                             rig.electrical->nodes_per_rack()};
+  EXPECT_EQ(expect_tap_digest(rig, plan, dead, 0x08af9a4c55969026ULL,
+                              "rack dead")
+                .data_quality.meters_lost,
+            1u);
+}
+
+TEST(CampaignFaults, FacilityTapDigestsArePinned) {
+  const Rig rig = make_rig(64);
+  const auto plan =
+      tap_plan(rig, Level::kL3, MeasurementPoint::kFacilityFeed, 9);
+  expect_tap_digest(rig, plan, fast_config(), 0x576c95d59655ca66ULL,
+                    "facility clean");
+
+  CampaignConfig dropout = fast_config();
+  dropout.faults.spec.dropout_prob = 0.15;
+  EXPECT_GT(expect_tap_digest(rig, plan, dropout, 0xce370c4502787de2ULL,
+                              "facility dropout")
+                .data_quality.samples_repaired,
+            0u);
 }
 
 TEST(CampaignFaults, ReportRendersDataQualityBlock) {

@@ -46,6 +46,12 @@ expect_error "malformed number (equals form)" "expects a number" \
   -- campaign --nodes 64 --dropout=abc
 expect_error "trailing garbage in number" "expects a number" \
   -- campaign --nodes 64 --dropout 0.1x
+expect_error "NaN rate" "expects a number" \
+  -- campaign --nodes 64 --dropout nan
+expect_error "NaN byzantine fraction" "expects a number" \
+  -- campaign --nodes 64 --level 3 --byzantine nan --reconcile 1
+expect_error "infinite emission period" "expects a number" \
+  -- campaign --nodes 64 --live --live-every inf
 expect_error "rate above 1" "must be in \[0, 1\]" \
   -- campaign --nodes 64 --dropout 1.5
 expect_error "negative rate" "must be in \[0, 1\]" \

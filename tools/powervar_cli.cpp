@@ -81,6 +81,7 @@
 //       1 other failures, 0 all ok.
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -212,7 +213,9 @@ class Args {
     char* end = nullptr;
     errno = 0;
     const double v = std::strtod(begin, &end);
-    if (end == begin || *end != '\0' || errno == ERANGE) {
+    // strtod accepts "nan" and "inf", and NaN would then pass every range
+    // check (each comparison is false), so non-finite input is malformed.
+    if (end == begin || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
       throw std::runtime_error("option --" + key + " expects a number, got '" +
                                raw + "'");
     }
