@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/report.hpp"
+#include "sim/streaming.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/fused.hpp"
 #include "stats/robust.hpp"
@@ -19,16 +20,9 @@
 #include "util/mathx.hpp"
 #include "util/parallel.hpp"
 #include "util/ring.hpp"
-#include "workload/workload.hpp"
 
 namespace pv {
 namespace {
-
-// Average of f over [a, b] via midpoint panels — used for ground truth.
-double mean_over_window(const std::function<double(double)>& f, double a,
-                        double b) {
-  return average_over(f, a, b, 2048);
-}
 
 // RNG stream salts for the fault processes (the calibration/noise salts
 // are kCalibrationSalt / kNoiseSalt from sim/fleet_state.hpp, shared with
@@ -62,317 +56,6 @@ std::vector<TimeWindow> make_analysis_windows(
     }
   }
   return out;
-}
-
-// Samples the meter would produce over the windows — used to account for
-// meters that never report.
-std::size_t expected_samples(const std::vector<TimeWindow>& windows,
-                             const MeterModel& meter) {
-  std::size_t n = 0;
-  for (const TimeWindow& w : windows) n += meter.samples_in(w);
-  return n;
-}
-
-// Streaming context of one node device: the shared per-window shape
-// tables plus this node's mean, PSU curve (null for DC taps) and a
-// reusable scratch buffer owned by the worker's chunk.
-struct StreamScope {
-  const std::vector<ShapeTable>* tables = nullptr;  // parallel to windows
-  double mean_w = 0.0;
-  const CompiledPsuCurve* curve = nullptr;
-  StreamScratch* scratch = nullptr;
-};
-
-// Window-fed metering state machine for one device.  The batch stages
-// drive it window by window (meter_device below) and the live stage
-// drives it chunk by chunk — both end at the identical DeviceReading,
-// because every accumulator here chains in the exact order the historical
-// metering loop used.  Holds no reference to the meter or the window
-// list, so a fleet of these can live in a relocatable slot vector.
-//
-// With faults disabled a device is fed clean readings (whole traces or
-// window chunks); with faults enabled each window's clean trace is
-// corrupted, quality-checked, repaired and despiked, and the device may
-// finish lost.
-class DeviceMeter {
- public:
-  DeviceMeter(const FaultPlan& fp, std::uint64_t seed, std::uint64_t stream,
-              std::size_t meter_id, TimeWindow campaign_window,
-              std::size_t n_windows, std::size_t samples_expected,
-              const std::vector<TimeWindow>* analysis)
-      : fp_(&fp), analysis_(analysis), n_windows_(n_windows) {
-    if (analysis_ != nullptr) {
-      bucket_sum_.assign(analysis_->size(), 0.0);
-      bucket_n_.assign(analysis_->size(), 0);
-    }
-    faulty_ = fp.enabled();
-    if (!faulty_) return;
-    r_.samples_expected = samples_expected;
-    if (fp.forced_dead(meter_id)) {
-      dead_ = true;
-      r_.lost = true;
-      r_.samples_lost = r_.samples_expected;
-      return;
-    }
-    Rng fate_rng(seed ^ kFateSalt, stream);
-    fault_rng_.emplace(seed ^ kFaultSalt, stream);
-    fate_ = draw_meter_fate(fp.spec, campaign_window, fate_rng);
-    const std::size_t byz_pos = fp.forced_byzantine(meter_id);
-    if (byz_pos != FaultPlan::npos) {
-      fp.apply_forced_byzantine(byz_pos, campaign_window, fate_);
-    }
-  }
-
-  /// Forced dead at provision time: feed nothing, finish() is final.
-  [[nodiscard]] bool dead() const { return dead_; }
-
-  /// Clean path, chunk-fed: samples [first, first + readings.size()) of
-  /// the current window.  Chunks must arrive in order; the running sum
-  /// chains left-to-right, so any chunking reproduces the whole-window
-  /// bits.
-  void feed_clean_chunk(double t_begin, double dt, std::size_t first,
-                        std::span<const double> readings) {
-    double s = win_sum_;
-    for (const double x : readings) s += x;
-    win_sum_ = s;
-    win_n_ += readings.size();
-    win_dt_ = dt;
-    bucket(t_begin, dt, first, readings);
-  }
-
-  /// Adopts a chunk the fused fleet kernels already chained: `chained`
-  /// is the window's running sum *after* this chunk (the kernels add
-  /// into a per-lane accumulator with the exact feed_clean_chunk
-  /// chaining), `count` the chunk's samples.  Keeps win_n_/win_dt_ and
-  /// therefore the live snapshots and close_clean_window() working
-  /// unchanged.  Clean non-reconciling windows only (no buckets).
-  void adopt_clean_chunk(double chained, std::size_t count, double dt) {
-    win_sum_ = chained;
-    win_n_ += count;
-    win_dt_ = dt;
-  }
-
-  /// Closes the current chunk-fed clean window; returns its mean.
-  double close_clean_window() {
-    // 0.0 + win_sum_: the exact expression the historical per-window
-    // FusedAccumulator produced (bulk push into a fresh accumulator adds
-    // the batch sum onto the zero seed), so chunk-fed windows close on
-    // the same bits the batch path computed.
-    const double total = 0.0 + win_sum_;
-    const double window_mean = total / static_cast<double>(win_n_);
-    mean_acc_ += window_mean;
-    r_.energy_j += total * win_dt_;
-    win_sum_ = 0.0;
-    win_n_ = 0;
-    ++windows_contributing_;
-    return window_mean;
-  }
-
-  /// Clean path, whole-trace (eager engine); returns the window mean.
-  double feed_clean_trace(const PowerTrace& trace) {
-    const double window_mean = trace.mean_power().value();
-    mean_acc_ += window_mean;
-    r_.energy_j += trace.energy().value();
-    bucket(trace.t0().value(), trace.dt().value(), 0, trace.watts());
-    ++windows_contributing_;
-    return window_mean;
-  }
-
-  /// Faulted path: corrupt, flag, repair and despike one window's clean
-  /// trace.  Returns the window mean when the window contributed, nullopt
-  /// when it was fully lost.
-  std::optional<double> feed_faulted_window(const PowerTrace& clean,
-                                            const TimeWindow& w) {
-    GappyTrace gappy = inject_faults(clean, fp_->spec, fate_, *fault_rng_);
-    r_.stuck_flagged += flag_stuck_runs(gappy, fp_->stuck_run_min);
-    const GapStats gs = gappy.gap_stats();
-    valid_total_ += gs.total - gs.missing;
-    r_.samples_lost += gs.missing;
-    if (gs.missing == gs.total) return std::nullopt;  // window fully lost
-
-    const PowerTrace dense = gappy.repaired(fp_->repair);
-    const HampelResult despiked = hampel_filter(
-        dense.watts(), fp_->hampel_half_window, fp_->hampel_n_sigmas);
-    r_.spikes_filtered += despiked.outlier_count;
-    r_.samples_repaired += gs.missing;
-    const double window_mean = mean_of(despiked.filtered);
-    mean_acc_ += window_mean;
-    r_.energy_j += window_mean * w.duration().value();
-    ++windows_contributing_;
-    bucket(dense.t0().value(), dense.dt().value(), 0, despiked.filtered);
-    return window_mean;
-  }
-
-  /// Finalizes the reading: clean mean over all windows, or the faulted
-  /// coverage-floor verdict.  Call exactly once, after the last window.
-  DeviceReading finish() {
-    if (dead_) return std::move(r_);
-    if (!faulty_) {
-      r_.mean_w = mean_acc_ / static_cast<double>(n_windows_);
-      finish_buckets();
-      return std::move(r_);
-    }
-    const double coverage =
-        r_.samples_expected == 0
-            ? 0.0
-            : static_cast<double>(valid_total_) /
-                  static_cast<double>(r_.samples_expected);
-    if (windows_contributing_ == 0 || coverage < fp_->min_coverage) {
-      r_.lost = true;
-      // A discarded series repairs nothing; its whole record is lost.
-      r_.samples_lost = r_.samples_expected;
-      r_.samples_repaired = 0;
-      r_.energy_j = 0.0;
-      return std::move(r_);
-    }
-    r_.mean_w = mean_acc_ / static_cast<double>(windows_contributing_);
-    finish_buckets();
-    return std::move(r_);
-  }
-
-  // --- read-only mid-run snapshots for partial (live) reporting.  None
-  // of these mutate state or draw RNG, so emission cannot perturb the
-  // final numbers.
-
-  /// Device has at least one contributing (or open, partially-fed)
-  /// window to report on.
-  [[nodiscard]] bool live_has_data() const {
-    return !dead_ && (windows_contributing_ > 0 || win_n_ > 0);
-  }
-  /// Running mean over contributing windows, including the open window's
-  /// partial samples when present.
-  [[nodiscard]] double live_mean_w() const {
-    double acc = mean_acc_;
-    std::size_t n = windows_contributing_;
-    if (win_n_ > 0) {
-      acc += (0.0 + win_sum_) / static_cast<double>(win_n_);
-      ++n;
-    }
-    return acc / static_cast<double>(n);
-  }
-  /// Energy accumulated so far, including the open window's samples.
-  [[nodiscard]] double live_energy_j() const {
-    double e = r_.energy_j;
-    if (win_n_ > 0) e += (0.0 + win_sum_) * win_dt_;
-    return e;
-  }
-
- private:
-  // Accumulates per-analysis-window sums for cross-validation on the
-  // *window-global* sample index.  Reading already-produced values draws
-  // no RNG, so enabling reconciliation cannot perturb the metered
-  // numbers.
-  void bucket(double t0, double dt, std::size_t first,
-              std::span<const double> values) {
-    if (analysis_ == nullptr) return;
-    for (std::size_t j = 0; j < values.size(); ++j) {
-      const double t = t0 + (static_cast<double>(first + j) + 0.5) * dt;
-      for (std::size_t a = 0; a < analysis_->size(); ++a) {
-        const TimeWindow& aw = (*analysis_)[a];
-        if (t >= aw.begin.value() && t < aw.end.value()) {
-          bucket_sum_[a] += values[j];
-          ++bucket_n_[a];
-          break;
-        }
-      }
-    }
-  }
-
-  void finish_buckets() {
-    if (analysis_ == nullptr) return;
-    r_.analysis_means_w.assign(analysis_->size(),
-                               std::numeric_limits<double>::quiet_NaN());
-    for (std::size_t a = 0; a < analysis_->size(); ++a) {
-      if (bucket_n_[a] > 0) {
-        r_.analysis_means_w[a] =
-            bucket_sum_[a] / static_cast<double>(bucket_n_[a]);
-      }
-    }
-  }
-
-  const FaultPlan* fp_;
-  const std::vector<TimeWindow>* analysis_;
-  std::size_t n_windows_;
-  DeviceReading r_;
-  std::vector<double> bucket_sum_;
-  std::vector<std::size_t> bucket_n_;
-  bool faulty_ = false;
-  bool dead_ = false;
-  double mean_acc_ = 0.0;
-  std::size_t windows_contributing_ = 0;
-  std::size_t valid_total_ = 0;
-  // Open clean window: left-to-right chained sum + sample count.
-  double win_sum_ = 0.0;
-  double win_dt_ = 0.0;
-  std::size_t win_n_ = 0;
-  // Faulted state: the fate is drawn once; the fault stream persists
-  // across windows exactly like the historical single-loop consumption.
-  MeterFate fate_;
-  std::optional<Rng> fault_rng_;
-};
-
-// Meters `truth` over every window by driving a DeviceMeter through the
-// batch feeding order.  With `stream_scope` set the clean readings come
-// from the streaming kernels instead of the truth function —
-// bit-identical by construction (sim/streaming.hpp), so everything
-// downstream is shared verbatim.
-DeviceReading meter_device(const MeterModel& meter,
-                           const PowerFunction& truth,
-                           const std::vector<TimeWindow>& windows,
-                           TimeWindow campaign_window, Rng& noise,
-                           const CampaignConfig& config,
-                           std::uint64_t stream, std::size_t meter_id,
-                           const std::vector<TimeWindow>* analysis = nullptr,
-                           const StreamScope* stream_scope = nullptr) {
-  DeviceMeter dm(config.faults, config.seed, stream, meter_id,
-                 campaign_window, windows.size(),
-                 expected_samples(windows, meter), analysis);
-  if (dm.dead()) return dm.finish();
-
-  if (!config.faults.enabled()) {
-    if (stream_scope != nullptr) {
-      // Streaming clean path: no PowerTrace, no per-window allocation.
-      StreamScratch& scratch = *stream_scope->scratch;
-      for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-        const ShapeTable& table = (*stream_scope->tables)[wi];
-        stream_node_window(table, stream_scope->mean_w, stream_scope->curve,
-                           meter, noise, scratch);
-        dm.feed_clean_chunk(table.t_begin, table.dt, 0, scratch.readings);
-        dm.close_clean_window();
-      }
-    } else {
-      for (const TimeWindow& w : windows) {
-        dm.feed_clean_trace(meter.measure(truth, w.begin, w.end, noise));
-      }
-    }
-    return dm.finish();
-  }
-
-  for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-    const TimeWindow& w = windows[wi];
-    // The fault pipeline consumes a materialized trace either way; the
-    // streaming engine only swaps how the clean readings are produced.
-    const PowerTrace clean = [&] {
-      if (stream_scope == nullptr) {
-        return meter.measure(truth, w.begin, w.end, noise);
-      }
-      stream_node_window((*stream_scope->tables)[wi], stream_scope->mean_w,
-                         stream_scope->curve, meter, noise,
-                         *stream_scope->scratch);
-      return PowerTrace(w.begin, meter.interval(),
-                        stream_scope->scratch->readings);
-    }();
-    dm.feed_faulted_window(clean, w);
-  }
-  return dm.finish();
-}
-
-void absorb_tallies(DataQuality& dq, const DeviceReading& r) {
-  dq.samples_expected += r.samples_expected;
-  dq.samples_lost += r.samples_lost;
-  dq.samples_repaired += r.samples_repaired;
-  dq.spikes_filtered += r.spikes_filtered;
-  dq.stuck_flagged += r.stuck_flagged;
 }
 
 void finalize_quality(DataQuality& dq) {
@@ -441,6 +124,16 @@ class ShapeMemo {
   std::unordered_map<std::uint64_t, double> memo_;
 };
 
+// `f` itself, or — with `memo_shape` set (the streaming probe held) — `f`
+// read through a ShapeMemo of its own, held inside the returned function.
+template <class F>
+PowerFunction memoized(const ClusterPowerModel* memo_shape, F f) {
+  if (memo_shape == nullptr) return f;
+  return [memo = ShapeMemo(*memo_shape), f](double t) mutable {
+    return memo(t, f);
+  };
+}
+
 // Hierarchy checks for a node-AC campaign: one rack-PDU check meter per
 // rack whose node meters all produced a series, and — when every rack is
 // checkable and no auxiliary subsystems muddy the sum — a facility check
@@ -448,10 +141,9 @@ class ShapeMemo {
 // correction is nonlinear, so the rack sum is not a clean function of the
 // DC series (the cohort check still covers those campaigns).
 //
-// With a non-null `memo_shape` (the streaming probe held) each check
-// meter reads rack_pdu_w or compute_ac_w through a ShapeMemo of its own,
-// held inside its truth function — the same samples, without re-walking
-// every node's PSU per sample.
+// With a non-null `memo_shape` each check meter reads rack_pdu_w or
+// compute_ac_w through a ShapeMemo of its own (memoized) — the same
+// samples, without re-walking every node's PSU per sample.
 std::vector<HierarchyCheck> build_hierarchy_checks(
     const SystemPowerModel& electrical, const MeasurementPlan& plan,
     const CampaignConfig& config, Seconds interval,
@@ -470,26 +162,15 @@ std::vector<HierarchyCheck> build_hierarchy_checks(
     const std::size_t first = rack * electrical.nodes_per_rack();
     const std::size_t last =
         std::min(first + electrical.nodes_per_rack(), electrical.node_count());
-    bool checkable = true;
-    for (std::size_t node = first; node < last; ++node) {
-      if (by_node[node] == nullptr) {
-        checkable = false;
-        break;
-      }
-    }
-    if (!checkable) {
+    if (std::any_of(by_node.begin() + first, by_node.begin() + last,
+                    [](const MeterSeries* s) { return s == nullptr; })) {
       all_racks_checkable = false;
       continue;
     }
-    const auto rack_w = [&electrical, rack](double t) {
-      return electrical.rack_pdu_w(rack, t);
-    };
-    PowerFunction truth = rack_w;
-    if (memo_shape != nullptr) {
-      truth = [memo = ShapeMemo(*memo_shape), rack_w](double t) mutable {
-        return memo(t, rack_w);
-      };
-    }
+    const PowerFunction truth =
+        memoized(memo_shape, [&electrical, rack](double t) {
+          return electrical.rack_pdu_w(rack, t);
+        });
     HierarchyCheck check;
     check.label = "rack " + std::to_string(rack);
     check.parent_id = kRackCheckStreamBase + rack;
@@ -506,17 +187,15 @@ std::vector<HierarchyCheck> build_hierarchy_checks(
   const double t_mid =
       plan.window.begin.value() + 0.5 * plan.window.duration().value();
   if (all_racks_checkable && electrical.auxiliary_ac_w(t_mid) == 0.0) {
-    // memo(compute) + auxiliary is facility_w's own expression; the
+    // compute + auxiliary is facility_w's own expression; the
     // auxiliaries have no shape identity to key on and stay direct.
-    PowerFunction truth = electrical.facility_function();
-    if (memo_shape != nullptr) {
-      truth = [memo = ShapeMemo(*memo_shape), &electrical](double t) mutable {
-        return memo(t, [&electrical](double u) {
-                 return electrical.compute_ac_w(u);
-               }) +
-               electrical.auxiliary_ac_w(t);
-      };
-    }
+    const PowerFunction compute =
+        memoized(memo_shape, [&electrical](double t) {
+          return electrical.compute_ac_w(t);
+        });
+    const PowerFunction truth = [compute, &electrical](double t) {
+      return compute(t) + electrical.auxiliary_ac_w(t);
+    };
     HierarchyCheck facility;
     facility.label = "facility";
     facility.parent_id = kFacilityCheckStream;
@@ -532,31 +211,32 @@ std::vector<HierarchyCheck> build_hierarchy_checks(
   return checks;
 }
 
-// Ground truth for a streaming-verified campaign.  When the electrical
-// model is the cluster lowered through make_system_power_model (which the
-// streaming probe has checked), compute_ac_w depends on t only through
-// the shared shape factor — so panel evaluations over a steady phase are
-// the same double over and over.  Memoizing them on the shape's bit
-// pattern leaves the integration grid, the summation order and every
-// per-panel value untouched: average_over sees a function returning the
-// exact doubles compute_ac_w would return, just without recomputing the
-// 240-node PSU sum per panel.
-Watts streaming_true_scope_power(const ClusterPowerModel& cluster,
-                                 const SystemPowerModel& electrical,
-                                 const MethodologySpec& spec) {
+// Ground truth: the core-phase average of the spec's scope (compute-only
+// for compute-only rules, compute + auxiliaries otherwise) over 2048
+// midpoint panels.  `memoized` marks a streaming-verified campaign: when
+// the electrical model is the cluster lowered through
+// make_system_power_model (which the streaming probe has checked),
+// compute_ac_w depends on t only through the shared shape factor, so
+// panel evaluations over a steady phase are the same double over and
+// over.  Reading them through a ShapeMemo leaves the integration grid,
+// the summation order and every per-panel value untouched — just without
+// recomputing the per-node PSU sum per panel.
+Watts scope_truth(const ClusterPowerModel& cluster,
+                  const SystemPowerModel& electrical,
+                  const MethodologySpec& spec, bool memoized) {
+  constexpr std::size_t kPanels = 2048;
   const TimeWindow core = cluster.phases().core_window();
+  const auto compute_w = [&](double t) { return electrical.compute_ac_w(t); };
   ShapeMemo memo(cluster);
-  const double compute = mean_over_window(
-      [&](double t) {
-        return memo(t, [&](double u) { return electrical.compute_ac_w(u); });
-      },
-      core.begin.value(), core.end.value());
+  const double compute = average_over(
+      [&](double t) { return memoized ? memo(t, compute_w) : compute_w(t); },
+      core.begin.value(), core.end.value(), kPanels);
   if (spec.subsystems == SubsystemRule::kComputeOnly) return Watts{compute};
   // Auxiliaries are arbitrary functions of t (no shape identity to key
   // on); their panel evaluations stay direct.
-  const double aux = mean_over_window(
+  const double aux = average_over(
       [&](double t) { return electrical.auxiliary_ac_w(t); },
-      core.begin.value(), core.end.value());
+      core.begin.value(), core.end.value(), kPanels);
   return Watts{compute + aux};
 }
 
@@ -570,6 +250,17 @@ std::size_t node_fanout(const CampaignConfig& config, bool reconciling) {
        reconciling ? static_cast<std::size_t>(config.reconcile.threads)
                    : std::size_t{1},
        std::size_t{1}});
+}
+
+// Provisioning inputs of every meter in the campaign.
+FleetProvisionSpec lane_spec(const CampaignContext& ctx, bool ac_tap) {
+  FleetProvisionSpec spec;
+  spec.accuracy = ctx.config->meter_accuracy;
+  spec.mode = ctx.plan->meter_mode;
+  spec.interval = ctx.interval;
+  spec.seed = ctx.config->seed;
+  spec.ac_tap = ac_tap;
+  return spec;
 }
 
 class ProvisionStage final : public CampaignStage {
@@ -621,49 +312,29 @@ class ProvisionStage final : public CampaignStage {
         // probe holds — any mismatch (a hand-built SystemPowerModel) falls
         // back to the eager path, whose arithmetic the kernels reproduce
         // bit-for-bit anyway.
-        const bool streaming = config.engine == CampaignEngine::kStreaming &&
-                               lowered_model_probe(cluster, electrical, plan);
-        ctx.streaming = streaming;
-        // The live (bounded-memory) meter stage builds its own per-chunk
-        // shape tables on the fly — materializing every window here would
-        // defeat its O(nodes + windows) footprint.
-        if (streaming && !config.live.enabled) {
-          ctx.tables = build_shape_tables(cluster, ctx.windows, ctx.interval,
-                                          plan.meter_mode);
-        }
+        ctx.streaming = config.engine == CampaignEngine::kStreaming &&
+                        lowered_model_probe(cluster, electrical, plan);
         // Transpose the cohort into the fleet table: meter models +
         // calibration columns, per-node noise streams, PSU lanes and
-        // fault flags, in plan order.  Built once here, shared by every
-        // downstream metering path (batch, live, async collection).
-        // Sharded over the fan-out pool; every lane is a pure function
-        // of its own node id, so the build is bit-identical at any
-        // thread count.
-        {
-          FleetProvisionSpec fspec;
-          fspec.accuracy = config.meter_accuracy;
-          fspec.mode = plan.meter_mode;
-          fspec.interval = ctx.interval;
-          fspec.seed = config.seed;
-          fspec.ac_tap = plan.point != MeasurementPoint::kNodeDc;
-          const std::size_t fanout = node_fanout(config, ctx.reconciling);
-          std::optional<ThreadPool> pool;
-          if (fanout > 1) pool.emplace(static_cast<unsigned>(fanout));
-          ctx.fleet = std::make_unique<FleetState>(build_fleet_state(
-              plan.node_indices, fspec, ctx.windows,
-              ctx.faulty ? &config.faults : nullptr, &cluster, &electrical,
-              pool ? &*pool : nullptr));
-        }
+        // fault flags, in plan order, for the Meter stage's lane driver.
+        // Sharded over the fan-out pool; every lane is a pure function of
+        // its own node id, so the build is bit-identical at any thread
+        // count.
+        const std::size_t fanout = node_fanout(config, ctx.reconciling);
+        std::optional<ThreadPool> pool;
+        if (fanout > 1) pool.emplace(static_cast<unsigned>(fanout));
+        ctx.fleet = std::make_unique<FleetState>(build_fleet_state(
+            plan.node_indices,
+            lane_spec(ctx, plan.point != MeasurementPoint::kNodeDc),
+            ctx.windows, ctx.faulty ? &config.faults : nullptr, &cluster,
+            &electrical, pool ? &*pool : nullptr));
         break;
       }
     }
 
-    // Expected sample count of any one meter: a probe model on a
-    // throwaway RNG stream — campaign streams are untouched.
-    {
-      Rng probe_rng(0, 0);
-      const MeterModel probe(config.meter_accuracy, plan.meter_mode,
-                             ctx.interval, probe_rng);
-      ctx.samples_per_meter = expected_samples(ctx.windows, probe);
+    // Expected sample count of any one meter.
+    for (const TimeWindow& w : ctx.windows) {
+      ctx.samples_per_meter += window_sample_count(w, ctx.interval);
     }
 
     trace.items = ctx.dq().meters_planned;
@@ -682,606 +353,623 @@ class ProvisionStage final : public CampaignStage {
   }
 };
 
-// Virtual seconds a meter stage covered: every meter reads every window.
-double metered_virtual_s(const CampaignContext& ctx, std::size_t meters) {
-  double s = 0.0;
-  for (const TimeWindow& w : ctx.windows) s += w.duration().value();
-  return s * static_cast<double>(meters);
+// A meter's reading as the collection layer reports it (`id` is the node,
+// or the rack for the rack-PDU tap): spot-sampled plans report energy as
+// mean power over the window, and DC taps are corrected back to AC.
+NodeReading meter_reading(const CampaignContext& ctx, std::size_t id,
+                          bool lost, double mean_w, double energy_j) {
+  const MeasurementPlan& plan = *ctx.plan;
+  if (lost) return NodeReading{id, true};
+  NodeReading nr{id, false, mean_w, energy_j};
+  if (plan.timing != TimingStrategy::kContinuous) {
+    nr.energy_j = nr.mean_w * plan.window.duration().value();
+  }
+  apply_dc_conversion(plan, *ctx.electrical, nr.node, nr.mean_w, nr.energy_j);
+  return nr;
 }
 
-class NodeMeterStage final : public CampaignStage {
- public:
-  [[nodiscard]] const char* name() const override { return "meter"; }
+// --- the lane metering driver -----------------------------------------------
 
-  void run(CampaignContext& ctx, StageTrace& trace) override {
-    const SystemPowerModel& electrical = *ctx.electrical;
-    const MeasurementPlan& plan = *ctx.plan;
-    const CampaignConfig& config = *ctx.config;
-    const bool streaming = ctx.streaming;
-    const bool reconciling = ctx.reconciling;
+// The eager lane source: lane i's truth function, built per window.
+using LaneTruth = std::function<PowerFunction(std::size_t)>;
 
-    // Meter every selected node through the fleet table Provision built:
-    // calibration errors and noise streams were drawn there, keyed by the
-    // node id, so this stage only consumes lanes.
-    PV_EXPECTS(ctx.fleet != nullptr, "meter stage needs a provisioned fleet");
-    FleetState& fleet = *ctx.fleet;
-    const std::size_t n = plan.node_count();
-    ctx.devices.resize(n);
-    ctx.readings.resize(n);
-    const std::size_t fanout = node_fanout(config, reconciling);
-    // Fused fleet kernels: clean streaming campaigns stream every window
-    // sample-major with the node index as the SIMD lane.  Faulted
-    // campaigns keep the per-node path — the corruption pipeline needs a
-    // materialized trace per node per window.
-    const bool fused = streaming && !ctx.faulty && config.fleet_soa;
-
-    // DeviceReading -> NodeReading, identical to the historical tail.
-    const auto to_node_reading = [&](std::size_t i) {
-      const DeviceReading& reading = ctx.devices[i];
-      NodeReading nr;
-      nr.node = plan.node_indices[i];
-      nr.lost = reading.lost;
-      if (!reading.lost) {
-        nr.mean_w = reading.mean_w;
-        nr.energy_j = reading.energy_j;
-        if (plan.timing != TimingStrategy::kContinuous) {
-          // Spot sampling: report energy as mean power over the window.
-          nr.energy_j = nr.mean_w * plan.window.duration().value();
-        }
-        apply_dc_conversion(plan, electrical, nr.node, nr.mean_w,
-                            nr.energy_j);
-      }
-      ctx.readings[i] = nr;
-    };
-
-    if (fused) {
-      // Each lane runs the per-node expressions operand for operand
-      // (sim/fleet_state.hpp), so the finished devices carry the same
-      // bits meter_device would produce lane by lane.
-      std::vector<std::vector<std::int32_t>> analysis_idx;
-      FleetAccumulators acc;
-      acc.init(n, reconciling ? ctx.analysis.size() : 0);
-      if (reconciling) {
-        // The sample grid is shared across the clean cohort, so the
-        // bucket mapping and counts are computed once per window — the
-        // per-node path recomputed them per device.
-        analysis_idx.reserve(ctx.tables.size());
-        for (const ShapeTable& t : ctx.tables) {
-          analysis_idx.push_back(map_analysis_samples(t, ctx.analysis));
-          count_analysis_samples(analysis_idx.back(), acc.bucket_n);
-        }
-      }
-      const auto stream_lanes = [&](std::size_t b, std::size_t e) {
-        FleetScratch scratch;
-        stream_fleet_windows(ctx.tables, analysis_idx, fleet, b, e, acc,
-                             scratch);
-      };
-      if (fanout > 1) {
-        ThreadPool pool(static_cast<unsigned>(fanout));
-        parallel_chunks(&pool, n, stream_lanes);
-      } else {
-        stream_lanes(0, n);
-      }
-      // Finish: the exact DeviceMeter::finish()/finish_buckets()
-      // expressions per lane.
-      const double n_windows = static_cast<double>(ctx.windows.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        DeviceReading r;
-        r.mean_w = acc.mean_acc[i] / n_windows;
-        r.energy_j = acc.energy_j[i];
-        if (reconciling) {
-          r.analysis_means_w.assign(
-              ctx.analysis.size(), std::numeric_limits<double>::quiet_NaN());
-          for (std::size_t a = 0; a < ctx.analysis.size(); ++a) {
-            if (acc.bucket_n[a] > 0) {
-              r.analysis_means_w[a] = acc.bucket_sum[a * n + i] /
-                                      static_cast<double>(acc.bucket_n[a]);
-            }
-          }
-        }
-        ctx.devices[i] = std::move(r);
-        to_node_reading(i);
-      }
-    } else {
-      const auto meter_one = [&](std::size_t i, StreamScratch& scratch) {
-        const std::size_t node = plan.node_indices[i];
-        PowerFunction truth;  // only the eager path walks the function chain
-        StreamScope scope;
-        if (streaming) {
-          scope.tables = &ctx.tables;
-          scope.mean_w = fleet.mean_w[i];
-          scope.curve = fleet.curve[i];
-          scope.scratch = &scratch;
-        } else {
-          truth = plan.point == MeasurementPoint::kNodeDc
-                      ? PowerFunction([&electrical, node](double t) {
-                          return electrical.node_dc_w(node, t);
-                        })
-                      : electrical.node_ac_function(node);
-        }
-        ctx.devices[i] = meter_device(
-            fleet.meters[i], truth, ctx.windows, plan.window, fleet.noise[i],
-            config, node, node, reconciling ? &ctx.analysis : nullptr,
-            streaming ? &scope : nullptr);
-        to_node_reading(i);
-      };
-      // Every lane's streams are keyed by its node id and every result
-      // lands in its own slot, so the fan-out is bit-identical at any
-      // thread count.  Chunked sharding gives each worker one contiguous
-      // range and one scratch buffer reused across all of its nodes.
-      if (fanout > 1) {
-        ThreadPool pool(static_cast<unsigned>(fanout));
-        parallel_chunks(&pool, n, [&](std::size_t begin, std::size_t end) {
-          StreamScratch scratch;
-          for (std::size_t i = begin; i < end; ++i) {
-            meter_one(i, scratch);
-          }
-        });
-      } else {
-        StreamScratch scratch;
-        for (std::size_t i = 0; i < n; ++i) {
-          meter_one(i, scratch);
-        }
-      }
-    }
-
-    std::size_t lost = 0;
-    for (const NodeReading& nr : ctx.readings) lost += nr.lost ? 1 : 0;
-    trace.items = ctx.readings.size();
-    trace.samples = ctx.samples_per_meter * ctx.readings.size();
-    trace.virtual_s = metered_virtual_s(ctx, ctx.readings.size());
-    trace.counters = {
-        {"engine_streaming", streaming ? 1.0 : 0.0},
-        {"fleet_fused", fused ? 1.0 : 0.0},
-        {"fanout", static_cast<double>(fanout)},
-        {"lost", static_cast<double>(lost)},
-    };
-  }
+// Faulted-run lane state: the fate is drawn once and the fault stream
+// persists across windows; the tallies feed Repair.
+struct LaneFault {
+  bool dead = false;  ///< forced dead: never fed, finishes lost
+  MeterFate fate;
+  Rng rng{0, 0};
+  std::size_t windows = 0;  ///< windows contributing
+  std::size_t valid = 0;    ///< samples neither missing nor flagged
+  std::size_t lost = 0;
+  std::size_t repaired = 0;
+  std::size_t spikes = 0;
+  std::size_t stuck = 0;
 };
 
-// One closed metering window's fleet-level summary, retained in the live
-// stage's fixed-capacity ring buffer.
-struct WindowSummary {
-  std::size_t index = 0;
-  double fleet_mean_w = 0.0;
-  std::size_t nodes = 0;
-};
+class LiveEmitter;
 
-// Bounded-memory node-tap Meter stage (config.live).  Window-major: the
-// outer loop walks metering windows — clean streaming campaigns in
-// fixed-size shape chunks — and the inner fan-out walks per-node slots.
-// Peak footprint is O(nodes + chunk_samples + analysis windows),
-// independent of campaign length, versus the batch stage's O(total
-// samples) up-front shape tables.
+// The one metering driver.  Its lanes are a FleetState's (meter models and
+// calibration columns, noise streams keyed by fleet.node, node means and
+// PSU curves); `meter_ids` holds each lane's fault-plan id (node, rack or
+// kFacilityStream).  Lanes stream from shared shape chunks when
+// `streaming` (node taps whose model passed the lowered-model probe), and
+// otherwise meter truth(lane) eagerly.  The driver walks the metered
+// windows in chunks and fans each chunk out over lane ranges; per-lane
+// state lives in columns next to the FleetState, not in per-lane objects.
+// Every accumulator chains in the order a whole-window trace's prefix sum
+// uses, and every lane's RNG streams are keyed by its own id, so any
+// chunking and any thread count yield the same bits.
 //
-// Byte-identity with NodeMeterStage: every per-node RNG stream is keyed
-// identically and consumed in the identical time order (calibration at
-// slot build, noise chunk-by-chunk within each node), kernel chunks
-// evaluate the window-global sample grid, and DeviceMeter chains every
-// accumulator in batch feeding order.  The pool barrier after each chunk
-// gives the serial bookkeeping a happens-before edge over every worker
-// write.  test_streaming_assessment memcmps the result against the batch
-// stage across seeds x levels x threads x fault plans.
-class LiveNodeMeterStage final : public CampaignStage {
+// Chunks are whole windows when faults are on (the corruption pipeline
+// reads a window's trace at once) or the lanes are eager
+// (MeterModel::measure meters a window at once); otherwise
+// config.live.chunk_samples samples, so a clean streaming run holds
+// O(chunk_samples) of shape table at any campaign length.  A faulted
+// window is post-processed per lane: corrupt, flag, repair, despike, mean.
+class LaneMeter {
+ public:
+  LaneMeter(const CampaignContext& ctx, FleetState& fleet,
+            std::span<const std::size_t> meter_ids, bool streaming,
+            LaneTruth truth)
+      : ctx_(ctx),
+        fleet_(fleet),
+        meter_ids_(meter_ids),
+        streaming_(streaming),
+        truth_(std::move(truth)),
+        lanes_(fleet.size()),
+        faulty_(ctx.faulty),
+        analysis_(ctx.reconciling ? ctx.analysis.size() : 0),
+        whole_windows_(faulty_ || !streaming),
+        fused_(streaming && !faulty_ && ctx.config->fleet_soa) {
+    window_.assign(lanes_, 0.0);
+    mean_acc_.assign(lanes_, 0.0);
+    energy_.assign(lanes_, 0.0);
+    bucket_sum_.assign(analysis_ * lanes_, 0.0);
+    // Clean lanes all see every sample, so one count per analysis window
+    // serves the cohort; faulted lanes count their own.
+    bucket_n_.assign(faulty_ ? analysis_ * lanes_ : analysis_, 0);
+    if (faulty_) faults_.resize(lanes_);
+  }
+
+  [[nodiscard]] std::size_t lanes() const { return lanes_; }
+  [[nodiscard]] bool whole_windows() const { return whole_windows_; }
+  // Clean streaming chunks run the fused level kernel.
+  [[nodiscard]] bool fused() const { return fused_; }
+
+  // Meters every window; `live` (may be null) observes chunk and window
+  // boundaries between fan-out barriers.
+  void run(ThreadPool* pool, LiveEmitter* live);
+
+  // The finished reading of one lane: clean mean over all windows, or
+  // the faulted coverage-floor verdict.
+  [[nodiscard]] DeviceReading finish(std::size_t i) const {
+    DeviceReading r;
+    std::size_t windows = windows_closed_;
+    if (faulty_) {
+      const LaneFault& f = faults_[i];
+      r.samples_expected = fleet_.samples_expected[i];
+      r.spikes_filtered = f.spikes;
+      r.stuck_flagged = f.stuck;
+      const double coverage =
+          r.samples_expected == 0
+              ? 0.0
+              : static_cast<double>(f.valid) /
+                    static_cast<double>(r.samples_expected);
+      if (f.windows == 0 || coverage < ctx_.config->faults.min_coverage) {
+        // Dead, or below the floor: a discarded series repairs nothing;
+        // its whole record is lost.
+        r.lost = true;
+        r.samples_lost = r.samples_expected;
+        return r;
+      }
+      r.samples_lost = f.lost;
+      r.samples_repaired = f.repaired;
+      windows = f.windows;
+    }
+    r.mean_w = mean_acc_[i] / static_cast<double>(windows);
+    r.energy_j = energy_[i];
+    r.analysis_means_w.assign(analysis_, kNoWindow);
+    for (std::size_t a = 0; a < analysis_; ++a) {
+      const std::size_t n = bucket_n_[faulty_ ? a * lanes_ + i : a];
+      if (n > 0) {
+        r.analysis_means_w[a] =
+            bucket_sum_[a * lanes_ + i] / static_cast<double>(n);
+      }
+    }
+    return r;
+  }
+
+  // Mid-run snapshot of lane i for live reporting: the running mean over
+  // contributing windows and the energy so far, both including the open
+  // window's samples; false when the lane has nothing to report yet.
+  // Reads only, so reporting cannot perturb the final numbers.
+  bool live_reading(std::size_t i, double& mean_w, double& energy_j) const {
+    std::size_t n = contributed(i);
+    if (n == 0 && open_n_ == 0) return false;
+    mean_w = mean_acc_[i];
+    energy_j = energy_[i];
+    if (open_n_ > 0) {
+      mean_w += (0.0 + window_[i]) / static_cast<double>(open_n_);
+      energy_j += (0.0 + window_[i]) * ctx_.interval.value();
+      ++n;
+    }
+    mean_w /= static_cast<double>(n);
+    return true;
+  }
+  // Between windows, once the closed window's means are read, the window
+  // column holds nothing the run still needs (the next window
+  // re-initializes it), so live reporting may borrow its storage.
+  std::vector<double>& spent_window_column() { return window_; }
+
+  // The last closed window's mean, or NaN when the lane contributed
+  // nothing to it.
+  [[nodiscard]] double window_mean(std::size_t i) const {
+    return faulty_ ? window_[i]
+                   : (0.0 + window_[i]) / static_cast<double>(last_samples_);
+  }
+
+ private:
+  static constexpr double kNoWindow = std::numeric_limits<double>::quiet_NaN();
+
+  // One chunk of one window, shared by every lane.
+  struct Chunk {
+    const TimeWindow* w = nullptr;
+    std::size_t first = 0;
+    std::size_t count = 0;
+    bool closes = false;  ///< last chunk of its window
+    const ShapeTable* table = nullptr;   ///< streaming lanes only
+    const std::int32_t* a_idx = nullptr;  ///< reconcile buckets only
+  };
+
+  [[nodiscard]] std::size_t contributed(std::size_t i) const {
+    return faulty_ ? faults_[i].windows : windows_closed_;
+  }
+
+  // Draws each faulted lane's fate once, before any window.
+  void draw_fates(ThreadPool* pool) {
+    const FaultPlan& fp = ctx_.config->faults;
+    const std::uint64_t seed = ctx_.config->seed;
+    const TimeWindow campaign = ctx_.plan->window;
+    parallel_chunks(pool, lanes_, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        LaneFault& f = faults_[i];
+        const std::size_t id = meter_ids_[i];
+        const std::uint64_t stream = fleet_.node[i];
+        f.dead = fp.forced_dead(id);
+        if (f.dead) continue;
+        Rng fate_rng(seed ^ kFateSalt, stream);
+        f.rng = Rng(seed ^ kFaultSalt, stream);
+        f.fate = draw_meter_fate(fp.spec, campaign, fate_rng);
+        const std::size_t byz_pos = fp.forced_byzantine(id);
+        if (byz_pos != FaultPlan::npos) {
+          fp.apply_forced_byzantine(byz_pos, campaign, f.fate);
+        }
+      }
+    });
+  }
+
+  // Lane i's clean readings for a whole-window chunk, into `s.readings`.
+  const std::vector<double>& lane_readings(const Chunk& c, std::size_t i,
+                                           StreamScratch& s) {
+    if (streaming_) {
+      stream_node_window(*c.table, fleet_.mean_w[i], fleet_.curve[i],
+                         fleet_.meters[i], fleet_.noise[i], s);
+    } else {
+      fleet_.meters[i].measure_into(truth_(i), c.w->begin, c.w->end,
+                                    fleet_.noise[i], s.readings);
+    }
+    return s.readings;
+  }
+
+  // Meters chunk `c` for lanes [b, e).
+  void meter_range(const Chunk& c, std::size_t b, std::size_t e,
+                   FleetScratch& scratch) {
+    if (faulty_) {
+      for (std::size_t i = b; i < e; ++i) {
+        window_[i] = kNoWindow;
+        if (faults_[i].dead) continue;
+        faulted_window(c, i, lane_readings(c, i, scratch.node));
+      }
+      return;
+    }
+    if (c.first == 0) std::fill(&window_[b], &window_[e], 0.0);
+    const LaneSinks sinks{window_.data(), c.a_idx, bucket_sum_.data(),
+                          lanes_};
+    if (streaming_) {
+      stream_fleet_chunk(*c.table, fleet_, b, e, fused_, sinks, scratch);
+    } else {
+      for (std::size_t i = b; i < e; ++i) {
+        chain_lane_chunk(lane_readings(c, i, scratch.node), i, sinks);
+      }
+    }
+    if (!c.closes) return;
+    // Close the window: total / samples is the trace mean, total * dt its
+    // energy (0.0 + sum is the prefix sum's own zero seed).  The sum stays
+    // in place until the next window opens, for window_mean().
+    const double samples = static_cast<double>(c.first + c.count);
+    const double dt = ctx_.interval.value();
+    for (std::size_t i = b; i < e; ++i) {
+      const double total = 0.0 + window_[i];
+      const double window_mean = total / samples;
+      mean_acc_[i] += window_mean;
+      energy_[i] += total * dt;
+    }
+  }
+
+  // Corrupts, flags, repairs and despikes lane i's clean window trace;
+  // a fully lost window contributes nothing.
+  void faulted_window(const Chunk& c, std::size_t i,
+                      const std::vector<double>& clean) {
+    const FaultPlan& fp = ctx_.config->faults;
+    LaneFault& f = faults_[i];
+    GappyTrace gappy = inject_faults(
+        PowerTrace(c.w->begin, fleet_.meters[i].interval(), clean),
+        fp.spec, f.fate, f.rng);
+    f.stuck += flag_stuck_runs(gappy, fp.stuck_run_min);
+    const GapStats gs = gappy.gap_stats();
+    f.valid += gs.total - gs.missing;
+    f.lost += gs.missing;
+    if (gs.missing == gs.total) return;
+
+    const PowerTrace dense = gappy.repaired(fp.repair);
+    const HampelResult despiked = hampel_filter(
+        dense.watts(), fp.hampel_half_window, fp.hampel_n_sigmas);
+    f.spikes += despiked.outlier_count;
+    f.repaired += gs.missing;
+    const double window_mean = mean_of(despiked.filtered);
+    mean_acc_[i] += window_mean;
+    energy_[i] += window_mean * c.w->duration().value();
+    ++f.windows;
+    window_[i] = window_mean;
+    if (c.a_idx == nullptr) return;
+    for (std::size_t j = 0; j < despiked.filtered.size(); ++j) {
+      const std::int32_t a = c.a_idx[j];
+      if (a < 0) continue;
+      const std::size_t at = static_cast<std::size_t>(a) * lanes_ + i;
+      bucket_sum_[at] += despiked.filtered[j];
+      ++bucket_n_[at];
+    }
+  }
+
+  const CampaignContext& ctx_;
+  FleetState& fleet_;
+  std::span<const std::size_t> meter_ids_;
+  bool streaming_;
+  LaneTruth truth_;
+  std::size_t lanes_;
+  bool faulty_;
+  std::size_t analysis_;  ///< analysis windows bucketed (0 = none)
+  bool whole_windows_;
+  bool fused_;
+  // --- lane columns ---------------------------------------------------------
+  /// Clean runs: the window's running sum, chained left to right (kept
+  /// after the close until the next window opens).  Faulted runs, whose
+  /// windows never chain: the last window's mean, NaN when it was lost.
+  std::vector<double> window_;
+  std::vector<double> mean_acc_;     ///< sum of contributing window means
+  std::vector<double> energy_;
+  std::vector<double> bucket_sum_;   ///< analysis window a at [a*lanes, ...)
+  std::vector<std::size_t> bucket_n_;
+  std::vector<LaneFault> faults_;    ///< faulted runs only
+  // --- shared progress ------------------------------------------------------
+  std::size_t windows_closed_ = 0;
+  std::size_t open_n_ = 0;  ///< samples fed into the open window
+  std::size_t last_samples_ = 0;  ///< samples of the last closed window
+};
+
+// The live part of node metering (config.live): a fixed-capacity ring of
+// closed-window fleet summaries, a mergeable quantile sketch over per-lane
+// window means — one small sketch per closed window, merged in, which is
+// exact (sketch-of-stream == merge-of-window-sketches, pinned by the
+// sketch property tests) — and partial assessment Documents emitted to
+// config.live_sink on a schedule pinned in virtual time.  It reads the
+// driver's columns strictly between fan-out barriers and draws no RNG,
+// so emission cannot perturb the final numbers.
+class LiveEmitter {
+ public:
+  LiveEmitter(CampaignContext& ctx, LaneMeter& meter)
+      : ctx_(ctx),
+        meter_(meter),
+        live_(ctx.config->live),
+        ring_(std::max<std::size_t>(std::size_t{1},
+                                    live_.history_windows)),
+        sketch_(0.01),
+        next_emit_(ctx.windows.empty() ? 0.0
+                                       : ctx.windows.front().begin.value() +
+                                             live_.emit_every_s) {}
+
+  // Chunked runs emit at chunk boundaries (inside a window); whole-window
+  // runs only once a window has closed.
+  void after_chunk(double virtual_now) {
+    ++chunks_;
+    if (!meter_.whole_windows()) maybe_emit(virtual_now, false);
+  }
+
+  // Window `wi` closed fleet-wide: per-lane window means feed one window
+  // sketch (merged into the campaign sketch) and the ring.
+  void after_window(std::size_t wi, double virtual_now) {
+    QuantileSketch window_sketch(sketch_.alpha());
+    FusedAccumulator fleet;
+    for (std::size_t i = 0; i < meter_.lanes(); ++i) {
+      const double m = meter_.window_mean(i);
+      if (std::isnan(m)) continue;
+      window_sketch.push(m);
+      fleet.push(m);
+    }
+    sketch_.merge(window_sketch);
+    if (!fleet.empty()) ring_.push({wi, fleet.mean()});
+    ++windows_closed_;
+    if (live_.emit_every_s <= 0.0) {
+      emit(virtual_now, true);
+    } else if (meter_.whole_windows()) {
+      maybe_emit(virtual_now, true);
+    }
+  }
+
+  void add_counters(StageTrace& trace) const {
+    trace.counters.insert(
+        trace.counters.end(),
+        {{"live", 1.0},
+         {"chunks", static_cast<double>(chunks_)},
+         {"windows_stored", static_cast<double>(ring_.size())},
+         {"partials_emitted", static_cast<double>(partials_)}});
+  }
+
+ private:
+  void maybe_emit(double virtual_now, bool between_windows) {
+    if (live_.emit_every_s <= 0.0 || virtual_now + 1e-9 < next_emit_) return;
+    emit(virtual_now, between_windows);
+    while (next_emit_ <= virtual_now + 1e-9) next_emit_ += live_.emit_every_s;
+  }
+
+  // Emits one partial assessment Document: the lanes reporting so far run
+  // through the exact node-tap Aggregate tail the final result uses, on a
+  // scratch context, so partial and final documents cannot drift apart.
+  // One complete rendered line per call — the sink never observes a torn
+  // document.
+  void emit(double virtual_now, bool between_windows) {
+    if (!ctx_.config->live_sink) return;
+    CampaignContext snap;
+    snap.cluster = ctx_.cluster;
+    snap.electrical = ctx_.electrical;
+    snap.plan = ctx_.plan;
+    snap.config = ctx_.config;
+    // The snapshot lives in storage the stage holds anyway, so a live run
+    // needs no memory a batch run does not: ctx.readings, which the stage
+    // fills only once the lanes finish, and — between windows — the lane
+    // meter's spent window column for the per-node means.
+    snap.readings = std::move(ctx_.readings);
+    snap.readings.clear();
+    snap.readings.reserve(meter_.lanes());
+    if (between_windows) {
+      snap.result.node_mean_powers_w.swap(meter_.spent_window_column());
+      snap.result.node_mean_powers_w.clear();
+    }
+    double mean_w = 0.0;
+    double energy_j = 0.0;
+    for (std::size_t i = 0; i < meter_.lanes(); ++i) {
+      if (!meter_.live_reading(i, mean_w, energy_j)) continue;
+      snap.readings.push_back(meter_reading(
+          ctx_, ctx_.plan->node_indices[i], false, mean_w, energy_j));
+    }
+    if (!snap.readings.empty()) {
+      ctx_.config->live_sink(render_json(partial_document(snap, virtual_now)));
+      ++partials_;
+    }
+    if (between_windows) {
+      snap.result.node_mean_powers_w.swap(meter_.spent_window_column());
+      meter_.spent_window_column().resize(meter_.lanes());
+    }
+    ctx_.readings = std::move(snap.readings);
+    ctx_.readings.clear();
+  }
+
+  Document partial_document(CampaignContext& snap, double virtual_now) {
+    snap.dq().meters_planned = ctx_.dq().meters_planned;
+    snap.dq().faults_enabled = ctx_.faulty;
+    aggregate_nodes(snap);
+    // Ground truth, computed once on first use (the final document's
+    // truth comes from AssessStage as usual).
+    if (!truth_) {
+      truth_ = scope_truth(*ctx_.cluster, *ctx_.electrical, ctx_.plan->spec,
+                           ctx_.streaming)
+                   .value();
+    }
+    const double truth = *truth_;
+    snap.result.true_power = Watts{truth};
+    snap.result.relative_error =
+        std::fabs(snap.result.submitted_power.value() - truth) / truth;
+
+    LiveProgress prog;
+    prog.seq = partials_;
+    prog.virtual_s = virtual_now;
+    prog.windows_closed = windows_closed_;
+    prog.nodes_reporting = snap.readings.size();
+    prog.window_capacity = ring_.capacity();
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      prog.recent_windows.push_back(ring_[i]);
+    }
+    prog.sketch_count = sketch_.count();
+    if (!sketch_.empty()) {
+      prog.sketch_bins = sketch_.bin_count();
+      prog.sketch_alpha = sketch_.alpha();
+      prog.p05_w = sketch_.quantile(0.05);
+      prog.p50_w = sketch_.quantile(0.50);
+      prog.p95_w = sketch_.quantile(0.95);
+    }
+    return live_assessment_document(*ctx_.plan, snap.result, prog);
+  }
+
+  CampaignContext& ctx_;
+  LaneMeter& meter_;
+  const LiveOptions& live_;
+  RingBuffer<std::pair<std::size_t, double>> ring_;  ///< (window, fleet mean)
+  QuantileSketch sketch_;
+  double next_emit_;  ///< from the first window's origin, emit_every_s steps
+  std::optional<double> truth_;
+  std::size_t windows_closed_ = 0;
+  std::size_t chunks_ = 0;
+  std::size_t partials_ = 0;
+};
+
+void LaneMeter::run(ThreadPool* pool, LiveEmitter* live) {
+  if (faulty_) draw_fates(pool);
+  const ClusterPowerModel& cluster = *ctx_.cluster;
+  const Seconds interval = ctx_.interval;
+  const std::size_t chunk_cap =
+      std::max<std::size_t>(std::size_t{1}, ctx_.config->live.chunk_samples);
+  ShapeTable table;  // storage reused across chunks
+  std::vector<std::int32_t> a_idx;
+  for (std::size_t wi = 0; wi < ctx_.windows.size(); ++wi) {
+    const TimeWindow& w = ctx_.windows[wi];
+    const std::size_t samples = window_sample_count(w, interval);
+    PV_EXPECTS(samples > 0, "window shorter than one reporting interval");
+    const std::size_t cap = whole_windows_ ? samples : chunk_cap;
+    for (std::size_t first = 0; first < samples; first += cap) {
+      Chunk c{.w = &w, .first = first, .count = std::min(cap, samples - first)};
+      c.closes = first + c.count == samples;
+      if (streaming_) {
+        build_shape_chunk(cluster, w, interval, ctx_.plan->meter_mode, first,
+                          c.count, table);
+        c.table = &table;
+      }
+      if (analysis_ > 0) {
+        a_idx = map_analysis_samples(w, interval, first, c.count,
+                                     ctx_.analysis);
+        c.a_idx = a_idx.data();
+        if (!faulty_) {
+          for (const std::int32_t a : a_idx) {
+            if (a >= 0) ++bucket_n_[static_cast<std::size_t>(a)];
+          }
+        }
+      }
+      parallel_chunks(pool, lanes_, [&](std::size_t b, std::size_t e) {
+        FleetScratch scratch;
+        meter_range(c, b, e, scratch);
+      });
+      open_n_ = c.closes ? 0 : open_n_ + c.count;
+      if (c.closes) {
+        ++windows_closed_;
+        last_samples_ = samples;
+      }
+      if (live != nullptr) {
+        live->after_chunk(w.begin.value() +
+                          interval.value() *
+                              static_cast<double>(first + c.count));
+      }
+    }
+    if (live != nullptr) live->after_window(wi, w.end.value());
+  }
+}
+
+// The Meter stage of every tap, on the lane driver.  Node taps meter the
+// provisioned fleet, batch or live.  The rack-PDU tap meters one eager
+// lane per rack containing a selected node: its reading *includes* PDU
+// distribution loss, unlike node taps, and Aggregate attributes it evenly
+// to the rack's nodes — the standard site practice when only PDU
+// instrumentation exists.  The facility-feed tap meters the single
+// whole-feed meter.  Rack and facility lanes are provisioned here, each on
+// its own RNG stream.
+class MeterStage final : public CampaignStage {
  public:
   [[nodiscard]] const char* name() const override { return "meter"; }
 
   void run(CampaignContext& ctx, StageTrace& trace) override {
-    const ClusterPowerModel& cluster = *ctx.cluster;
     const SystemPowerModel& electrical = *ctx.electrical;
     const MeasurementPlan& plan = *ctx.plan;
     const CampaignConfig& config = *ctx.config;
-    const LiveOptions& live = config.live;
-    const bool streaming = ctx.streaming;
-    const bool reconciling = ctx.reconciling;
-    const bool faulty = ctx.faulty;
-    const std::size_t n = plan.node_count();
-
-    // The cohort's meters, noise streams, means and PSU lanes live in the
-    // fleet table Provision built; this stage only consumes lanes.
-    PV_EXPECTS(ctx.fleet != nullptr, "meter stage needs a provisioned fleet");
-    FleetState& fleet = *ctx.fleet;
-
-    // Per-node driver state: everything a worker mutates for node i lives
-    // in slot i (or lane i of the fleet), so the window-major fan-out is
-    // bit-identical at any thread count.
-    struct NodeSlot {
-      DeviceMeter dm;
-      PowerFunction truth;       // eager truth chain
-      double window_mean = 0.0;  // current window's mean (worker-written)
-      bool window_contributed = false;
-    };
-    std::vector<NodeSlot> slots;
-    slots.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t node = plan.node_indices[i];
-      DeviceMeter dm(config.faults, config.seed, node, node, plan.window,
-                     ctx.windows.size(), fleet.samples_expected[i],
-                     reconciling ? &ctx.analysis : nullptr);
-      NodeSlot slot{std::move(dm), PowerFunction{}, 0.0, false};
-      if (!streaming) {
-        slot.truth = plan.point == MeasurementPoint::kNodeDc
-                         ? PowerFunction([&electrical, node](double t) {
-                             return electrical.node_dc_w(node, t);
-                           })
-                         : electrical.node_ac_function(node);
+    static constexpr std::size_t kFeed[] = {kFacilityStream};
+    const bool facility = plan.point == MeasurementPoint::kFacilityFeed;
+    const bool racks = plan.point == MeasurementPoint::kRackPdu;
+    std::span<const std::size_t> ids = plan.node_indices;  // fault-plan ids
+    LaneTruth truth;
+    if (facility) {
+      // There is no surviving-node fallback: losing the only meter ends
+      // the campaign.
+      if (ctx.faulty && config.faults.forced_dead(kFacilityStream)) {
+        throw NoUsableDataError(
+            "campaign: the facility-feed meter is dead and no fallback "
+            "instrumentation exists");
       }
-      slots.push_back(std::move(slot));
-    }
-
-    const std::size_t fanout = node_fanout(config, reconciling);
-    std::optional<ThreadPool> pool;
-    if (fanout > 1) pool.emplace(static_cast<unsigned>(fanout));
-    ThreadPool* const pool_ptr = pool ? &*pool : nullptr;
-
-    // Campaign-wide bounded state: a fixed-capacity ring of closed-window
-    // fleet summaries plus a mergeable quantile sketch over per-node
-    // window means — one small sketch per closed window, merged in, which
-    // is exact (sketch-of-stream == merge-of-window-sketches, pinned by
-    // the sketch property tests).
-    RingBuffer<WindowSummary> ring(
-        std::max<std::size_t>(std::size_t{1}, live.history_windows));
-    QuantileSketch campaign_sketch(0.01);
-    std::size_t windows_closed = 0;
-    std::size_t chunks_run = 0;
-    std::size_t partials = 0;
-
-    // Ground truth for partial documents, computed once on first use (the
-    // final document's truth comes from AssessStage as usual).
-    std::optional<double> truth_cache;
-    const auto truth_w = [&]() -> double {
-      if (!truth_cache) {
-        truth_cache =
-            (streaming
-                 ? streaming_true_scope_power(cluster, electrical, plan.spec)
-                 : true_scope_power(cluster, electrical, plan.spec))
-                .value();
-      }
-      return *truth_cache;
-    };
-
-    // Emits one partial assessment Document from a read-only snapshot of
-    // the slots.  Runs strictly between fan-out barriers; draws no RNG
-    // and mutates no metering state, so emission cannot perturb the
-    // final numbers.
-    const auto emit_partial = [&](double virtual_now) {
-      if (!config.live_sink) return;
-      std::vector<NodeReading> partial;
-      partial.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const NodeSlot& s = slots[i];
-        if (!s.dm.live_has_data()) continue;
-        NodeReading nr;
-        nr.node = plan.node_indices[i];
-        nr.lost = false;
-        nr.mean_w = s.dm.live_mean_w();
-        nr.energy_j = s.dm.live_energy_j();
-        if (plan.timing != TimingStrategy::kContinuous) {
-          nr.energy_j = nr.mean_w * plan.window.duration().value();
-        }
-        apply_dc_conversion(plan, electrical, nr.node, nr.mean_w,
-                            nr.energy_j);
-        partial.push_back(nr);
-      }
-      if (partial.empty()) return;
-
-      // Run the snapshot through the exact node-tap Aggregate tail the
-      // final result uses, on a scratch context.
-      CampaignContext snap;
-      snap.cluster = ctx.cluster;
-      snap.electrical = ctx.electrical;
-      snap.plan = ctx.plan;
-      snap.config = ctx.config;
-      snap.readings = std::move(partial);
-      snap.dq().meters_planned = ctx.dq().meters_planned;
-      snap.dq().faults_enabled = faulty;
-      aggregate_nodes(snap);
-      snap.result.true_power = Watts{truth_w()};
-      snap.result.relative_error =
-          std::fabs(snap.result.submitted_power.value() - truth_w()) /
-          truth_w();
-
-      LiveProgress prog;
-      prog.seq = partials;
-      prog.virtual_s = virtual_now;
-      prog.windows_closed = windows_closed;
-      prog.nodes_reporting = snap.readings.size();
-      prog.window_capacity = ring.capacity();
-      for (std::size_t i = 0; i < ring.size(); ++i) {
-        prog.recent_windows.emplace_back(ring[i].index, ring[i].fleet_mean_w);
-      }
-      prog.sketch_count = campaign_sketch.count();
-      if (!campaign_sketch.empty()) {
-        prog.sketch_bins = campaign_sketch.bin_count();
-        prog.sketch_alpha = campaign_sketch.alpha();
-        prog.p05_w = campaign_sketch.quantile(0.05);
-        prog.p50_w = campaign_sketch.quantile(0.50);
-        prog.p95_w = campaign_sketch.quantile(0.95);
-      }
-      // One complete rendered line per call — the sink never observes a
-      // torn document.
-      config.live_sink(
-          render_json(live_assessment_document(plan, snap.result, prog)));
-      ++partials;
-    };
-
-    // Pinned virtual-time emission schedule: thresholds advance from the
-    // first window's origin in emit_every_s steps, checked at chunk and
-    // window boundaries, so reruns emit identical partials at identical
-    // points.
-    double next_emit = ctx.windows.empty()
-                           ? 0.0
-                           : ctx.windows.front().begin.value() +
-                                 live.emit_every_s;
-    const auto maybe_emit = [&](double virtual_now) {
-      if (live.emit_every_s <= 0.0) return;
-      if (virtual_now + 1e-9 < next_emit) return;
-      emit_partial(virtual_now);
-      while (next_emit <= virtual_now + 1e-9) next_emit += live.emit_every_s;
-    };
-
-    // Closes window `wi` fleet-wide: per-node window means feed one
-    // window sketch (merged into the campaign sketch) and the ring.
-    const auto close_window_stats = [&](std::size_t wi) {
-      QuantileSketch window_sketch(campaign_sketch.alpha());
-      FusedAccumulator fleet;
-      for (const NodeSlot& s : slots) {
-        if (!s.window_contributed) continue;
-        window_sketch.push(s.window_mean);
-        fleet.push(s.window_mean);
-      }
-      campaign_sketch.merge(window_sketch);
-      if (!fleet.empty()) {
-        ring.push(WindowSummary{wi, fleet.mean(), fleet.count()});
-      }
-      ++windows_closed;
-    };
-
-    double virtual_now =
-        ctx.windows.empty() ? 0.0 : ctx.windows.front().begin.value();
-    if (streaming && !faulty) {
-      // Clean streaming driver: each window streams in fixed-size chunks
-      // of the window-global sample grid.  The chunk's shape table is
-      // built serially (once, shared by every node) and its storage is
-      // reused, so peak memory never depends on the window length.
-      //
-      // Fused variant (fleet_soa, no reconcile buckets): the chunk
-      // streams through the fleet kernels with the node index as the
-      // SIMD lane, chaining each lane's running sum in a stage-owned
-      // vector; the serial adopt below hands the chained sums to the
-      // DeviceMeters between barriers, so live snapshots and window
-      // closes observe the exact per-node state.
-      const std::size_t chunk_cap =
-          std::max<std::size_t>(std::size_t{1}, live.chunk_samples);
-      ShapeTable chunk;
-      const bool fused = config.fleet_soa && !reconciling;
-      std::vector<double> fleet_win_sum;
-      if (fused) fleet_win_sum.assign(n, 0.0);
-      for (std::size_t wi = 0; wi < ctx.windows.size(); ++wi) {
-        const TimeWindow& w = ctx.windows[wi];
-        const std::size_t samples = window_sample_count(w, ctx.interval);
-        PV_EXPECTS(samples > 0,
-                   "window shorter than one reporting interval");
-        for (std::size_t first = 0; first < samples; first += chunk_cap) {
-          const std::size_t count = std::min(chunk_cap, samples - first);
-          build_shape_chunk(cluster, w, ctx.interval, plan.meter_mode, first,
-                            count, chunk);
-          if (fused) {
-            parallel_chunks(pool_ptr, n, [&](std::size_t b, std::size_t e) {
-              FleetScratch scratch;
-              stream_fleet_chunk(chunk, fleet, b, e,
-                                 std::span<double>(fleet_win_sum), scratch);
-            });
-            for (std::size_t i = 0; i < n; ++i) {
-              slots[i].dm.adopt_clean_chunk(fleet_win_sum[i], count,
-                                            chunk.dt);
-            }
-          } else {
-            parallel_chunks(pool_ptr, n, [&](std::size_t b, std::size_t e) {
-              StreamScratch scratch;
-              for (std::size_t i = b; i < e; ++i) {
-                NodeSlot& s = slots[i];
-                stream_node_window(chunk, fleet.mean_w[i], fleet.curve[i],
-                                   fleet.meters[i], fleet.noise[i], scratch);
-                s.dm.feed_clean_chunk(chunk.t_begin, chunk.dt, first,
-                                      scratch.readings);
-              }
-            });
-          }
-          ++chunks_run;
-          virtual_now = w.begin.value() +
-                        ctx.interval.value() *
-                            static_cast<double>(first + count);
-          maybe_emit(virtual_now);
-        }
-        for (NodeSlot& s : slots) {
-          s.window_mean = s.dm.close_clean_window();
-          s.window_contributed = true;
-        }
-        if (fused) {
-          std::fill(fleet_win_sum.begin(), fleet_win_sum.end(), 0.0);
-        }
-        close_window_stats(wi);
-        virtual_now = w.end.value();
-        if (live.emit_every_s <= 0.0) emit_partial(virtual_now);
-      }
+      ids = kFeed;
+      truth = [&](std::size_t) { return electrical.facility_function(); };
+    } else if (racks) {
+      ids = ctx.racks;
+      truth = [&](std::size_t i) -> PowerFunction {
+        const std::size_t rack = ctx.racks[i];
+        return [&electrical, rack](double t) {
+          return electrical.rack_pdu_w(rack, t);
+        };
+      };
     } else {
-      // Whole-window driver (faulted campaigns need a materialized clean
-      // trace per window for the corruption pipeline; eager clean
-      // campaigns measure per window anyway).  Only one window per node
-      // is ever in flight, so memory stays bounded by the window length.
-      ShapeTable chunk;
-      for (std::size_t wi = 0; wi < ctx.windows.size(); ++wi) {
-        const TimeWindow& w = ctx.windows[wi];
-        if (streaming) {
-          const std::size_t samples = window_sample_count(w, ctx.interval);
-          PV_EXPECTS(samples > 0,
-                     "window shorter than one reporting interval");
-          build_shape_chunk(cluster, w, ctx.interval, plan.meter_mode, 0,
-                            samples, chunk);
+      PV_EXPECTS(ctx.fleet != nullptr, "meter stage needs a provisioned fleet");
+      truth = [&](std::size_t i) -> PowerFunction {
+        const std::size_t node = plan.node_indices[i];
+        if (plan.point == MeasurementPoint::kNodeDc) {
+          return [&electrical, node](double t) {
+            return electrical.node_dc_w(node, t);
+          };
         }
-        parallel_chunks(pool_ptr, n, [&](std::size_t b, std::size_t e) {
-          StreamScratch scratch;
-          for (std::size_t i = b; i < e; ++i) {
-            NodeSlot& s = slots[i];
-            s.window_contributed = false;
-            if (s.dm.dead()) continue;
-            if (!faulty) {
-              s.window_mean = s.dm.feed_clean_trace(fleet.meters[i].measure(
-                  s.truth, w.begin, w.end, fleet.noise[i]));
-              s.window_contributed = true;
-              continue;
-            }
-            const PowerTrace clean = [&] {
-              if (!streaming) {
-                return fleet.meters[i].measure(s.truth, w.begin, w.end,
-                                               fleet.noise[i]);
-              }
-              stream_node_window(chunk, fleet.mean_w[i], fleet.curve[i],
-                                 fleet.meters[i], fleet.noise[i], scratch);
-              return PowerTrace(w.begin, fleet.meters[i].interval(),
-                                scratch.readings);
-            }();
-            const std::optional<double> wm =
-                s.dm.feed_faulted_window(clean, w);
-            if (wm.has_value()) {
-              s.window_mean = *wm;
-              s.window_contributed = true;
-            }
-          }
-        });
-        ++chunks_run;
-        close_window_stats(wi);
-        virtual_now = w.end.value();
-        if (live.emit_every_s <= 0.0) {
-          emit_partial(virtual_now);
-        } else {
-          maybe_emit(virtual_now);
-        }
-      }
+        return electrical.node_ac_function(node);
+      };
     }
+    std::optional<FleetState> eager_lanes;
+    if (facility || racks) {
+      std::vector<std::size_t> streams(ids.begin(), ids.end());
+      for (std::size_t& stream : streams) {
+        stream += racks ? kRackStreamBase : 0;
+      }
+      eager_lanes.emplace(build_fleet_state(streams, lane_spec(ctx, false),
+                                            ctx.windows, nullptr, nullptr,
+                                            nullptr));
+    }
+    FleetState& fleet = eager_lanes ? *eager_lanes : *ctx.fleet;
+    const std::size_t n = fleet.size();
+    const std::size_t fanout = node_fanout(config, ctx.reconciling);
+    const std::size_t workers = std::min(fanout, n);
+    std::optional<ThreadPool> pool;
+    if (workers > 1) pool.emplace(static_cast<unsigned>(workers));
 
-    // Finish: identical post-processing to NodeMeterStage.
-    ctx.devices.resize(n);
-    ctx.readings.resize(n);
+    LaneMeter meter(ctx, fleet, ids, ctx.streaming, truth);
+    std::optional<LiveEmitter> live;
+    if (config.live.enabled && !eager_lanes) live.emplace(ctx, meter);
+    meter.run(pool ? &*pool : nullptr, live ? &*live : nullptr);
+
     std::size_t lost = 0;
+    ctx.devices.resize(n);
+    if (!facility) ctx.readings.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      ctx.devices[i] = slots[i].dm.finish();
-      const DeviceReading& reading = ctx.devices[i];
-      NodeReading nr;
-      nr.node = plan.node_indices[i];
-      nr.lost = reading.lost;
-      if (!reading.lost) {
-        nr.mean_w = reading.mean_w;
-        nr.energy_j = reading.energy_j;
-        if (plan.timing != TimingStrategy::kContinuous) {
-          // Spot sampling: report energy as mean power over the window.
-          nr.energy_j = nr.mean_w * plan.window.duration().value();
-        }
-        apply_dc_conversion(plan, electrical, nr.node, nr.mean_w,
-                            nr.energy_j);
+      const DeviceReading& r = ctx.devices[i] = meter.finish(i);
+      lost += r.lost ? 1 : 0;
+      if (facility) continue;
+      ctx.readings.push_back(
+          meter_reading(ctx, ids[i], r.lost, r.mean_w, r.energy_j));
+      if (racks) {
+        const std::size_t first = ids[i] * electrical.nodes_per_rack();
+        ctx.rack_nodes_in.push_back(std::min(electrical.nodes_per_rack(),
+                                             electrical.node_count() - first));
       }
-      ctx.readings[i] = nr;
-      lost += nr.lost ? 1 : 0;
     }
 
-    trace.items = ctx.readings.size();
-    trace.samples = ctx.samples_per_meter * ctx.readings.size();
-    trace.virtual_s = metered_virtual_s(ctx, ctx.readings.size());
+    trace.items = n;
+    trace.samples = ctx.samples_per_meter * n;
+    // Every meter reads every window.
+    for (const TimeWindow& w : ctx.windows) {
+      trace.virtual_s += w.duration().value();
+    }
+    trace.virtual_s *= static_cast<double>(n);
+    if (eager_lanes) {
+      trace.counters = {{"lost", static_cast<double>(lost)}};
+      return;
+    }
     trace.counters = {
-        {"engine_streaming", streaming ? 1.0 : 0.0},
-        {"fleet_fused",
-         streaming && !faulty && config.fleet_soa && !reconciling ? 1.0
-                                                                  : 0.0},
+        {"engine_streaming", ctx.streaming ? 1.0 : 0.0},
+        {"fleet_fused", meter.fused() ? 1.0 : 0.0},
         {"fanout", static_cast<double>(fanout)},
         {"lost", static_cast<double>(lost)},
-        {"live", 1.0},
-        {"chunks", static_cast<double>(chunks_run)},
-        {"windows_stored", static_cast<double>(ring.size())},
-        {"partials_emitted", static_cast<double>(partials)},
     };
-  }
-};
-
-class RackMeterStage final : public CampaignStage {
- public:
-  [[nodiscard]] const char* name() const override { return "meter"; }
-
-  void run(CampaignContext& ctx, StageTrace& trace) override {
-    const SystemPowerModel& electrical = *ctx.electrical;
-    const MeasurementPlan& plan = *ctx.plan;
-    const CampaignConfig& config = *ctx.config;
-
-    // One meter per rack containing a selected node.  The rack reading
-    // (which *includes* PDU distribution loss, unlike node taps) is
-    // later attributed evenly to the rack's nodes — the standard site
-    // practice when only PDU instrumentation exists.
-    std::size_t lost = 0;
-    for (std::size_t rack : ctx.racks) {
-      Rng calibration(config.seed ^ kCalibrationSalt, kRackStreamBase + rack);
-      Rng noise(config.seed ^ kNoiseSalt, kRackStreamBase + rack);
-      const MeterModel meter(config.meter_accuracy, plan.meter_mode,
-                             ctx.interval, calibration);
-      const std::size_t first = rack * electrical.nodes_per_rack();
-      const std::size_t nodes_in_rack =
-          std::min(electrical.nodes_per_rack(),
-                   electrical.node_count() - first);
-      DeviceReading reading = meter_device(
-          meter,
-          [&electrical, rack](double t) {
-            return electrical.rack_pdu_w(rack, t);
-          },
-          ctx.windows, plan.window, noise, config, kRackStreamBase + rack,
-          rack);
-      NodeReading nr;
-      nr.node = rack;
-      nr.lost = reading.lost;
-      nr.mean_w = reading.mean_w;
-      nr.energy_j = reading.energy_j;
-      lost += nr.lost ? 1 : 0;
-      ctx.devices.push_back(std::move(reading));
-      ctx.readings.push_back(nr);
-      ctx.rack_nodes_in.push_back(nodes_in_rack);
-    }
-
-    trace.items = ctx.readings.size();
-    trace.samples = ctx.samples_per_meter * ctx.readings.size();
-    trace.virtual_s = metered_virtual_s(ctx, ctx.readings.size());
-    trace.counters = {{"lost", static_cast<double>(lost)}};
-  }
-};
-
-class FacilityMeterStage final : public CampaignStage {
- public:
-  [[nodiscard]] const char* name() const override { return "meter"; }
-
-  void run(CampaignContext& ctx, StageTrace& trace) override {
-    const SystemPowerModel& electrical = *ctx.electrical;
-    const MeasurementPlan& plan = *ctx.plan;
-    const CampaignConfig& config = *ctx.config;
-
-    // One meter on the whole feed — the realistic Level 3
-    // instrumentation.  There is no surviving-node fallback here: losing
-    // the only meter ends the campaign.
-    if (ctx.faulty && config.faults.forced_dead(kFacilityStream)) {
-      throw NoUsableDataError(
-          "campaign: the facility-feed meter is dead and no fallback "
-          "instrumentation exists");
-    }
-    Rng calibration(config.seed ^ kCalibrationSalt, kFacilityStream);
-    Rng noise(config.seed ^ kNoiseSalt, kFacilityStream);
-    const MeterModel meter(config.meter_accuracy, plan.meter_mode,
-                           ctx.interval, calibration);
-    ctx.devices.push_back(meter_device(
-        meter, electrical.facility_function(), ctx.windows, plan.window,
-        noise, config, kFacilityStream, kFacilityStream));
-
-    trace.items = 1;
-    trace.samples = ctx.samples_per_meter;
-    trace.virtual_s = metered_virtual_s(ctx, 1);
-    trace.counters = {
-        {"lost", ctx.devices.back().lost ? 1.0 : 0.0},
-    };
+    if (live) live->add_counters(trace);
   }
 };
 
@@ -1294,7 +982,13 @@ class RepairStage final : public CampaignStage {
     // path every tally is zero, so this is a no-op there — exactly the
     // historical `if (faulty)` guard, without the branch.
     DataQuality& dq = ctx.dq();
-    for (const DeviceReading& r : ctx.devices) absorb_tallies(dq, r);
+    for (const DeviceReading& r : ctx.devices) {
+      dq.samples_expected += r.samples_expected;
+      dq.samples_lost += r.samples_lost;
+      dq.samples_repaired += r.samples_repaired;
+      dq.spikes_filtered += r.spikes_filtered;
+      dq.stuck_flagged += r.stuck_flagged;
+    }
 
     trace.items = ctx.devices.size();
     trace.samples = dq.samples_repaired;
@@ -1410,116 +1104,52 @@ void aggregate_facility(CampaignContext& ctx) {
   finalize_quality(dq);
 }
 
-// Aggregate for the rack-PDU tap: attribute each surviving rack reading
-// evenly to its nodes, then extrapolate.  A dead/degraded rack meter
-// loses the whole rack; extrapolation proceeds from the rest.
-void aggregate_rack(CampaignContext& ctx) {
-  const ClusterPowerModel& cluster = *ctx.cluster;
-  const SystemPowerModel& electrical = *ctx.electrical;
-  const MeasurementPlan& plan = *ctx.plan;
-  CampaignResult& result = ctx.result;
-  DataQuality& dq = ctx.dq();
-
-  const std::size_t planned_nodes = plan.node_count();
-  double energy_acc = 0.0;
-  std::size_t surviving_nodes = 0;
-  for (std::size_t i = 0; i < ctx.readings.size(); ++i) {
-    const NodeReading& reading = ctx.readings[i];
-    if (reading.lost) {
-      ++dq.meters_lost;
-      dq.lost_meter_ids.push_back(reading.node);
-      continue;
-    }
-    const double rack_mean = reading.mean_w;
-    double rack_energy = reading.energy_j;
-    if (plan.timing != TimingStrategy::kContinuous) {
-      rack_energy = rack_mean * plan.window.duration().value();
-    }
-    const std::size_t nodes_in_rack = ctx.rack_nodes_in[i];
-    const double per_node = rack_mean / static_cast<double>(nodes_in_rack);
-    for (std::size_t n = 0; n < nodes_in_rack; ++n) {
-      result.node_mean_powers_w.push_back(per_node);
-    }
-    surviving_nodes += nodes_in_rack;
-    energy_acc += rack_energy;
-  }
-  if (result.node_mean_powers_w.empty()) {
-    throw NoUsableDataError(
-        "campaign: every rack meter was lost (" +
-        std::to_string(dq.meters_lost) + " of " +
-        std::to_string(dq.meters_planned) +
-        "); nothing to extrapolate from");
-  }
-  result.nodes_measured = result.node_mean_powers_w.size();
-  // Scale energy to the planned metering scope so submissions stay
-  // comparable between degraded and clean campaigns.
-  if (ctx.faulty && surviving_nodes > 0 && surviving_nodes < planned_nodes) {
-    energy_acc *= static_cast<double>(planned_nodes) /
-                  static_cast<double>(surviving_nodes);
-  }
-  result.submitted_energy = Joules{energy_acc};
-
-  const Summary rack_nodes = summarize(result.node_mean_powers_w);
-  double rack_submitted =
-      rack_nodes.mean * static_cast<double>(cluster.node_count());
-  if (plan.spec.subsystems != SubsystemRule::kComputeOnly) {
-    const double t_mid =
-        plan.window.begin.value() + 0.5 * plan.window.duration().value();
-    rack_submitted += electrical.auxiliary_ac_w(t_mid);
-  }
-  result.submitted_power = Watts{rack_submitted};
-  if (result.node_mean_powers_w.size() >= 2 && rack_nodes.stddev > 0.0) {
-    result.node_mean_ci =
-        t_confidence_interval(result.node_mean_powers_w, 0.05);
-    result.relative_halfwidth =
-        0.5 * result.node_mean_ci.width() / rack_nodes.mean;
-    dq.ci_widened = dq.meters_lost > 0;
-  }
-  dq.planned_node_fraction =
-      static_cast<double>(planned_nodes) /
-      static_cast<double>(cluster.node_count());
-  dq.achieved_node_fraction =
-      static_cast<double>(result.nodes_measured) /
-      static_cast<double>(cluster.node_count());
-  finalize_quality(dq);
-}
-
-// Aggregate for node taps — the shared tail every node campaign (sync or
-// async collection) runs: exclusion, extrapolation, energy re-basing,
-// the Eq. 1 CI and its corrected-sigma widening, coverage fractions.
+// Aggregate for node and rack-PDU taps — the shared tail every node
+// campaign (sync or async collection) runs: exclusion, extrapolation,
+// energy re-basing, the Eq. 1 CI and its corrected-sigma widening,
+// coverage fractions.  A rack reading is attributed evenly to the rack's
+// nodes, so a dead or degraded rack meter loses the whole rack and
+// extrapolation proceeds from the rest.
 void aggregate_nodes(CampaignContext& ctx) {
   const ClusterPowerModel& cluster = *ctx.cluster;
   const SystemPowerModel& electrical = *ctx.electrical;
   const MeasurementPlan& plan = *ctx.plan;
   CampaignResult& result = ctx.result;
   DataQuality& dq = ctx.dq();
+  const bool racks = plan.point == MeasurementPoint::kRackPdu;
 
   result.system_name = cluster.name();
   result.window_duration = plan.window.duration();
 
   double energy_j = 0.0;
   result.node_mean_powers_w.reserve(ctx.readings.size());
-  for (const NodeReading& r : ctx.readings) {
+  for (std::size_t i = 0; i < ctx.readings.size(); ++i) {
+    const NodeReading& r = ctx.readings[i];
     if (r.lost) {
       ++dq.meters_lost;
       dq.lost_meter_ids.push_back(r.node);
       continue;
     }
-    result.node_mean_powers_w.push_back(r.mean_w);
+    const std::size_t nodes = racks ? ctx.rack_nodes_in[i] : 1;
+    result.node_mean_powers_w.insert(
+        result.node_mean_powers_w.end(), nodes,
+        racks ? r.mean_w / static_cast<double>(nodes) : r.mean_w);
     energy_j += r.energy_j;
   }
   if (result.node_mean_powers_w.empty()) {
     throw NoUsableDataError(
-        "campaign: every node meter was lost (" +
-        std::to_string(dq.meters_lost) + " of " +
+        std::string("campaign: every ") + (racks ? "rack" : "node") +
+        " meter was lost (" + std::to_string(dq.meters_lost) + " of " +
         std::to_string(dq.meters_planned) +
         "); nothing to extrapolate from");
   }
   result.nodes_measured = result.node_mean_powers_w.size();
   // Scale energy to the planned metering scope so submissions stay
-  // comparable between degraded and clean campaigns.
-  if (result.nodes_measured < dq.meters_planned) {
-    energy_j *= static_cast<double>(dq.meters_planned) /
+  // comparable between degraded and clean campaigns.  Rack meters cover
+  // whole racks, so only a lost rack can leave fewer nodes than planned.
+  const std::size_t planned = racks ? plan.node_count() : dq.meters_planned;
+  if (result.nodes_measured < planned) {
+    energy_j *= static_cast<double>(planned) /
                 static_cast<double>(result.nodes_measured);
   }
   result.submitted_energy = Joules{energy_j};
@@ -1562,8 +1192,7 @@ void aggregate_nodes(CampaignContext& ctx) {
     dq.ci_widened = true;
   }
   dq.planned_node_fraction =
-      static_cast<double>(dq.meters_planned) /
-      static_cast<double>(cluster.node_count());
+      static_cast<double>(planned) / static_cast<double>(cluster.node_count());
   dq.achieved_node_fraction =
       static_cast<double>(result.nodes_measured) /
       static_cast<double>(cluster.node_count());
@@ -1578,9 +1207,6 @@ class AggregateStage final : public CampaignStage {
     switch (ctx.plan->point) {
       case MeasurementPoint::kFacilityFeed:
         aggregate_facility(ctx);
-        break;
-      case MeasurementPoint::kRackPdu:
-        aggregate_rack(ctx);
         break;
       default:
         aggregate_nodes(ctx);
@@ -1604,11 +1230,8 @@ class AssessStage final : public CampaignStage {
     CampaignResult& result = ctx.result;
     // Ground truth and error.  The memoized form returns the exact
     // doubles the direct form would (streaming probe holding), faster.
-    result.true_power =
-        ctx.streaming
-            ? streaming_true_scope_power(*ctx.cluster, *ctx.electrical,
-                                         ctx.plan->spec)
-            : true_scope_power(*ctx.cluster, *ctx.electrical, ctx.plan->spec);
+    result.true_power = scope_truth(*ctx.cluster, *ctx.electrical,
+                                    ctx.plan->spec, ctx.streaming);
     result.relative_error =
         std::fabs(result.submitted_power.value() - result.true_power.value()) /
         result.true_power.value();
@@ -1648,26 +1271,11 @@ bool lowered_model_probe(const ClusterPowerModel& cluster,
 Watts true_scope_power(const ClusterPowerModel& cluster,
                        const SystemPowerModel& electrical,
                        const MethodologySpec& spec) {
-  const TimeWindow core = cluster.phases().core_window();
-  const double compute = mean_over_window(
-      [&](double t) { return electrical.compute_ac_w(t); },
-      core.begin.value(), core.end.value());
-  if (spec.subsystems == SubsystemRule::kComputeOnly) return Watts{compute};
-  const double aux = mean_over_window(
-      [&](double t) { return electrical.auxiliary_ac_w(t); },
-      core.begin.value(), core.end.value());
-  return Watts{compute + aux};
+  return scope_truth(cluster, electrical, spec, false);
 }
 
 StagePtr make_provision_stage() { return std::make_unique<ProvisionStage>(); }
-StagePtr make_node_meter_stage() { return std::make_unique<NodeMeterStage>(); }
-StagePtr make_live_node_meter_stage() {
-  return std::make_unique<LiveNodeMeterStage>();
-}
-StagePtr make_rack_meter_stage() { return std::make_unique<RackMeterStage>(); }
-StagePtr make_facility_meter_stage() {
-  return std::make_unique<FacilityMeterStage>();
-}
+StagePtr make_meter_stage() { return std::make_unique<MeterStage>(); }
 StagePtr make_repair_stage() { return std::make_unique<RepairStage>(); }
 StagePtr make_reconcile_stage() { return std::make_unique<ReconcileStage>(); }
 StagePtr make_aggregate_stage() { return std::make_unique<AggregateStage>(); }
@@ -1679,18 +1287,7 @@ std::vector<StagePtr> make_campaign_stages(const MeasurementPlan& plan,
                         plan.point != MeasurementPoint::kRackPdu;
   std::vector<StagePtr> stages;
   stages.push_back(make_provision_stage());
-  switch (plan.point) {
-    case MeasurementPoint::kFacilityFeed:
-      stages.push_back(make_facility_meter_stage());
-      break;
-    case MeasurementPoint::kRackPdu:
-      stages.push_back(make_rack_meter_stage());
-      break;
-    default:
-      stages.push_back(config.live.enabled ? make_live_node_meter_stage()
-                                           : make_node_meter_stage());
-      break;
-  }
+  stages.push_back(make_meter_stage());
   stages.push_back(make_repair_stage());
   // Only node-tap campaigns reconcile — rack/facility taps have no
   // sibling cohort to cross-validate against.

@@ -13,10 +13,13 @@
 // any thread count.
 //
 // Why stages?  The Meter slot is the only part that differs between
-// execution modes: the eager per-device loop, the streaming kernels, the
-// rack-PDU and facility-feed taps, and src/collect's asynchronous
-// transport are all just different ways to fill `devices`/`readings`.
-// Making that slot explicit lets the async collector reuse the exact
+// execution modes.  In-process metering is one window-major lane driver
+// for every tap — node lanes over the provisioned FleetState (fused
+// shape-level kernel, per-node streaming kernel or eager truth source),
+// rack-PDU and facility-feed lanes on the eager source, batch or live —
+// and src/collect's asynchronous transport is the other way to fill
+// `devices`/`readings`.  Making that slot explicit lets the async
+// collector reuse the exact
 // Repair/Aggregate/Assess tail (finalize_node_campaign is now a thin
 // wrapper over those stages), and gives every mode the same per-stage
 // observability: each stage records a StageTrace (items, samples,
@@ -24,9 +27,9 @@
 // `powervar campaign --trace-stages` and the JSON assessment document.
 //
 // One deliberate asymmetry: sample-level repair (gap fill, despiking,
-// stuck-run flagging) runs *inside* the Meter stage, per device, because
-// hoisting it out would require materializing every raw trace at once —
-// the Repair stage consolidates the per-device tallies into the
+// stuck-run flagging) runs *inside* the Meter stage, per lane and window,
+// because hoisting it out would require materializing every raw trace at
+// once — the Repair stage consolidates the per-device tallies into the
 // campaign's DataQuality and owns the repair accounting.
 
 #include <cstdint>
@@ -36,7 +39,6 @@
 #include "core/campaign.hpp"
 #include "core/plan.hpp"
 #include "sim/fleet_state.hpp"
-#include "sim/streaming.hpp"
 #include "util/cancel.hpp"
 
 namespace pv {
@@ -84,16 +86,16 @@ struct CampaignContext {
   bool faulty = false;                ///< fault injection enabled
   bool reconciling = false;           ///< byzantine defense enabled
   bool streaming = false;             ///< streaming probe accepted the model
-  std::vector<ShapeTable> tables;     ///< shared shapes (streaming only)
   std::size_t samples_per_meter = 0;  ///< expected samples, any one meter
   std::vector<std::size_t> racks;     ///< racks metered (rack-PDU tap only)
   /// The node-tap cohort transposed to structure-of-arrays (null for the
-  /// rack/facility taps): meter models + calibration columns, per-node
-  /// noise streams, PSU curve lanes and fault flags, all in plan order.
-  /// Provision builds it (sharded over the fan-out pool); the Meter
-  /// stages consume it as views — per-node paths index lanes, the fused
-  /// kernels stream whole lane ranges.  unique_ptr so the context stays
-  /// cheap to default-construct for tail-only snapshots.
+  /// rack/facility taps, whose few lanes the Meter stage provisions
+  /// itself): meter models + calibration columns, per-node noise streams,
+  /// PSU curve lanes and fault flags, all in plan order.  Provision
+  /// builds it (sharded over the fan-out pool); the Meter stage's lane
+  /// driver keeps its per-lane state in columns beside it.  unique_ptr so
+  /// the context stays cheap to default-construct for tail-only
+  /// snapshots.
   std::unique_ptr<FleetState> fleet;
 
   // --- Meter artifacts ---------------------------------------------------
@@ -125,35 +127,28 @@ class CampaignStage {
 using StagePtr = std::unique_ptr<CampaignStage>;
 
 /// Derives the campaign's execution parameters: effective interval,
-/// metered windows, the analysis grid, the streaming probe + shape
-/// tables (node taps), the rack list (rack tap) and meters_planned.
+/// metered windows, the analysis grid, the streaming probe and the fleet
+/// table (node taps), the rack list (rack tap) and meters_planned.
 [[nodiscard]] StagePtr make_provision_stage();
 
-/// Node-tap Meter stage: one meter device per selected node, eager or
-/// streaming per the provision probe, fanned out over config.threads
-/// (bit-identical at any thread count).
-[[nodiscard]] StagePtr make_node_meter_stage();
-
-/// Bounded-memory node-tap Meter stage (config.live): window-major over
-/// per-node window accumulators, streaming each window in fixed-size
-/// shape chunks, so peak memory is O(nodes + windows) independent of
-/// campaign length.  Emits partial assessment Documents to
-/// config.live_sink on the pinned virtual-time schedule.  The finished
-/// devices/readings — and therefore the final Document — are
-/// byte-identical to make_node_meter_stage's.
-[[nodiscard]] StagePtr make_live_node_meter_stage();
-
-/// Rack-PDU Meter stage: one meter per rack containing a selected node;
-/// the reading is later attributed evenly to the rack's nodes.
-[[nodiscard]] StagePtr make_rack_meter_stage();
-
-/// Facility-feed Meter stage: the single whole-feed meter.  Throws
-/// NoUsableDataError when the meter is forced dead — there is no fallback
-/// instrumentation at Level 3.
-[[nodiscard]] StagePtr make_facility_meter_stage();
+/// The Meter stage of every tap: one window-major lane driver.  It walks
+/// the metered windows in chunks (whole windows when faults are on or
+/// the lanes are eager, config.live.chunk_samples samples otherwise),
+/// fans each chunk out over lane ranges (bit-identical at any thread
+/// count) and keeps per-lane state in columns, so memory is O(lanes +
+/// chunk) at any campaign length.  Node taps meter the provisioned fleet
+/// through the streaming kernels or, when the probe failed, the eager
+/// truth; with config.live it also emits partial assessment Documents to
+/// config.live_sink on the pinned virtual-time schedule, and the final
+/// result is byte-identical to the batch run's.  The rack-PDU tap meters
+/// one eager lane per rack containing a selected node (the reading is
+/// later attributed evenly to the rack's nodes); the facility-feed tap
+/// its single whole-feed meter, throwing NoUsableDataError when that
+/// meter is forced dead — there is no fallback instrumentation at Level 3.
+[[nodiscard]] StagePtr make_meter_stage();
 
 /// Consolidates the per-device repair/quality tallies into DataQuality.
-/// (Sample-level gap fill runs inside Meter, per device — see the header
+/// (Sample-level gap fill runs inside Meter, per lane — see the header
 /// comment; this stage owns the accounting.)
 [[nodiscard]] StagePtr make_repair_stage();
 
@@ -184,7 +179,7 @@ using StagePtr = std::unique_ptr<CampaignStage>;
                                        const MeasurementPlan& plan);
 
 /// Assembles the full stage list run_campaign executes for `plan`:
-/// Provision, the tap-point Meter stage, Repair, Reconcile (node taps
+/// Provision, Meter, Repair, Reconcile (node taps
 /// with the defense enabled), Aggregate, Assess.  Exposed so callers —
 /// the campaign service's chaos harness foremost — can decorate or
 /// replace individual stages before running them.

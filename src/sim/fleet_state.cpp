@@ -159,13 +159,14 @@ FleetState build_fleet_state(std::span<const std::size_t> nodes,
 // Analysis-window mapping (reconcile buckets)
 
 std::vector<std::int32_t> map_analysis_samples(
-    const ShapeTable& table, const std::vector<TimeWindow>& analysis) {
-  std::vector<std::int32_t> idx(table.samples, -1);
-  for (std::size_t k = 0; k < table.samples; ++k) {
-    // The exact DeviceMeter::bucket time expression (first = 0 for whole
-    // windows); first match wins, like the per-node linear scan.
-    const double t =
-        table.t_begin + (static_cast<double>(k) + 0.5) * table.dt;
+    const TimeWindow& w, Seconds interval, std::size_t first,
+    std::size_t count, const std::vector<TimeWindow>& analysis) {
+  std::vector<std::int32_t> idx(count, -1);
+  const double t0 = w.begin.value();
+  const double dt = interval.value();
+  for (std::size_t k = 0; k < count; ++k) {
+    // First match wins, like a linear scan per sample.
+    const double t = t0 + (static_cast<double>(first + k) + 0.5) * dt;
     for (std::size_t a = 0; a < analysis.size(); ++a) {
       const TimeWindow& aw = analysis[a];
       if (t >= aw.begin.value() && t < aw.end.value()) {
@@ -177,37 +178,33 @@ std::vector<std::int32_t> map_analysis_samples(
   return idx;
 }
 
-void count_analysis_samples(std::span<const std::int32_t> a_idx,
-                            std::span<std::size_t> bucket_n) {
-  for (const std::int32_t a : a_idx) {
-    if (a >= 0) ++bucket_n[static_cast<std::size_t>(a)];
-  }
-}
-
 // --------------------------------------------------------------------------
-// Fused fleet kernels
+// Lane kernels
 
-void FleetAccumulators::init(std::size_t n, std::size_t analysis_windows) {
-  nodes = n;
-  win_sum.assign(n, 0.0);
-  mean_acc.assign(n, 0.0);
-  energy_j.assign(n, 0.0);
-  bucket_sum.assign(analysis_windows * n, 0.0);
-  bucket_n.assign(analysis_windows, 0);
+void chain_lane_chunk(std::span<const double> readings, std::size_t lane,
+                      const LaneSinks& sinks) {
+  double s = sinks.win_sum[lane];
+  for (const double x : readings) s += x;
+  sinks.win_sum[lane] = s;
+  if (sinks.a_idx == nullptr) return;
+  for (std::size_t j = 0; j < readings.size(); ++j) {
+    const std::int32_t a = sinks.a_idx[j];
+    if (a >= 0) {
+      sinks.bucket_sum[static_cast<std::size_t>(a) * sinks.stride + lane] +=
+          readings[j];
+    }
+  }
 }
 
 namespace {
 
-// Feeds one chunk's samples into win_sum (and bucket rows, when mapped)
-// for lanes [begin, end).  Level-indexed tables only — the caller routes
-// dense tables through the per-node kernel.  Every lane evaluates the
-// per-node expressions of stream_node_window + apply_errors +
-// feed_clean_chunk, operand for operand, with that node's own noise
-// stream consumed in sample order.
+// Feeds one level-indexed chunk into the sinks for lanes [begin, end).
+// Every lane evaluates the per-node expressions of stream_node_window +
+// apply_errors + chain_lane_chunk, operand for operand, with that node's
+// own noise stream consumed in sample order.
 void fused_level_chunk(const ShapeTable& table, FleetState& fleet,
-                       std::size_t begin, std::size_t end, double* win_sum,
-                       const std::int32_t* a_idx, double* bucket_sum,
-                       std::size_t bucket_stride, FleetScratch& scratch) {
+                       std::size_t begin, std::size_t end,
+                       const LaneSinks& sinks, FleetScratch& scratch) {
   const std::size_t m = end - begin;
   const std::size_t nl = table.levels.size();
   const std::size_t samples = table.samples;
@@ -229,17 +226,18 @@ void fused_level_chunk(const ShapeTable& table, FleetState& fleet,
 
   const double* const gain = fleet.gain.data() + begin;
   const double* const off = fleet.offset_w.data() + begin;
-  double* const win = win_sum + begin;
+  double* const win = sinks.win_sum + begin;
   Rng* const noise = fleet.noise.data() + begin;
   const double sd = fleet.noise_sd;
   const std::uint32_t* const idx = table.level_idx.data();
   const double* const acl = scratch.acl.data();
 
   const auto bucket_row = [&](std::size_t k) -> double* {
-    if (a_idx == nullptr) return nullptr;
-    const std::int32_t a = a_idx[k];
+    if (sinks.a_idx == nullptr) return nullptr;
+    const std::int32_t a = sinks.a_idx[k];
     if (a < 0) return nullptr;
-    return bucket_sum + static_cast<std::size_t>(a) * bucket_stride + begin;
+    return sinks.bucket_sum + static_cast<std::size_t>(a) * sinks.stride +
+           begin;
   };
 
   if (table.mode == MeterMode::kIntegrated) {
@@ -312,85 +310,21 @@ void fused_level_chunk(const ShapeTable& table, FleetState& fleet,
   }
 }
 
-// Dense-table fallback: one per-node pass through the proven scalar
-// kernel, chained into the fleet accumulators exactly as
-// DeviceMeter::feed_clean_chunk would chain them.
-void dense_chunk(const ShapeTable& table, FleetState& fleet,
-                 std::size_t begin, std::size_t end, double* win_sum,
-                 const std::int32_t* a_idx, double* bucket_sum,
-                 std::size_t bucket_stride, FleetScratch& scratch) {
-  for (std::size_t lane = begin; lane < end; ++lane) {
-    stream_node_window(table, fleet.mean_w[lane], fleet.curve[lane],
-                       fleet.meters[lane], fleet.noise[lane], scratch.node);
-    const std::vector<double>& readings = scratch.node.readings;
-    double s = win_sum[lane];
-    for (const double x : readings) s += x;
-    win_sum[lane] = s;
-    if (a_idx != nullptr) {
-      for (std::size_t j = 0; j < readings.size(); ++j) {
-        const std::int32_t a = a_idx[j];
-        if (a >= 0) {
-          bucket_sum[static_cast<std::size_t>(a) * bucket_stride + lane] +=
-              readings[j];
-        }
-      }
-    }
-  }
-}
-
-void feed_chunk(const ShapeTable& table, FleetState& fleet, std::size_t begin,
-                std::size_t end, double* win_sum, const std::int32_t* a_idx,
-                double* bucket_sum, std::size_t bucket_stride,
-                FleetScratch& scratch) {
-  if (!table.levels.empty()) {
-    fused_level_chunk(table, fleet, begin, end, win_sum, a_idx, bucket_sum,
-                      bucket_stride, scratch);
-  } else {
-    dense_chunk(table, fleet, begin, end, win_sum, a_idx, bucket_sum,
-                bucket_stride, scratch);
-  }
-}
-
 }  // namespace
 
-void stream_fleet_windows(
-    const std::vector<ShapeTable>& tables,
-    const std::vector<std::vector<std::int32_t>>& analysis_idx,
-    FleetState& fleet, std::size_t begin, std::size_t end,
-    FleetAccumulators& acc, FleetScratch& scratch) {
-  PV_EXPECTS(end <= fleet.size() && begin <= end, "lane range out of fleet");
-  PV_EXPECTS(analysis_idx.empty() || analysis_idx.size() == tables.size(),
-             "analysis index not parallel to tables");
-  double* const win_sum = acc.win_sum.data();
-  double* const mean_acc = acc.mean_acc.data();
-  double* const energy = acc.energy_j.data();
-  for (std::size_t wi = 0; wi < tables.size(); ++wi) {
-    const ShapeTable& table = tables[wi];
-    const std::int32_t* a_idx =
-        analysis_idx.empty() ? nullptr : analysis_idx[wi].data();
-    feed_chunk(table, fleet, begin, end, win_sum, a_idx,
-               acc.bucket_sum.data(), acc.nodes, scratch);
-    // Close the window fleet-wide: the exact close_clean_window
-    // expressions, elementwise across lanes.
-    const double inv_n = static_cast<double>(table.samples);
-    const double dt = table.dt;
-    for (std::size_t i = begin; i < end; ++i) {
-      const double total = 0.0 + win_sum[i];
-      const double window_mean = total / inv_n;
-      mean_acc[i] += window_mean;
-      energy[i] += total * dt;
-      win_sum[i] = 0.0;
-    }
-  }
-}
-
 void stream_fleet_chunk(const ShapeTable& chunk, FleetState& fleet,
-                        std::size_t begin, std::size_t end,
-                        std::span<double> win_sum, FleetScratch& scratch) {
+                        std::size_t begin, std::size_t end, bool fused,
+                        const LaneSinks& sinks, FleetScratch& scratch) {
   PV_EXPECTS(end <= fleet.size() && begin <= end, "lane range out of fleet");
-  PV_EXPECTS(win_sum.size() >= end, "win_sum span too short");
-  feed_chunk(chunk, fleet, begin, end, win_sum.data(), nullptr, nullptr, 0,
-             scratch);
+  if (fused && !chunk.levels.empty()) {
+    fused_level_chunk(chunk, fleet, begin, end, sinks, scratch);
+    return;
+  }
+  for (std::size_t lane = begin; lane < end; ++lane) {
+    stream_node_window(chunk, fleet.mean_w[lane], fleet.curve[lane],
+                       fleet.meters[lane], fleet.noise[lane], scratch.node);
+    chain_lane_chunk(scratch.node.readings, lane, sinks);
+  }
 }
 
 }  // namespace pv

@@ -2,8 +2,8 @@
 // FleetState: per-node campaign state in structure-of-arrays layout.
 //
 // The historical engine walks one node at a time: a NodeInstance-derived
-// mean, a MeterModel, a noise Rng and a DeviceMeter per node, each node's
-// window streamed start-to-finish before the next node begins.  That
+// mean, a MeterModel, a noise Rng and a window accumulator per node, each
+// node's window streamed start-to-finish before the next node begins.  That
 // array-of-structs walk leaves the only loop-carried dependency — the
 // window's running sum — serial *within* a node, so the reduction never
 // vectorizes.  FleetState transposes the fleet: contiguous per-field
@@ -149,24 +149,18 @@ struct FleetProvisionSpec {
     const ClusterPowerModel* cluster, const SystemPowerModel* electrical,
     ThreadPool* pool = nullptr);
 
-/// Fleet-major accumulator block: the SoA transpose of DeviceMeter's
-/// clean-path state (win_sum/mean_acc/energy/buckets), one entry per
-/// lane.  Workers own disjoint lane ranges, so the block is shared
-/// without synchronization.
-struct FleetAccumulators {
-  std::vector<double> win_sum;   ///< open window, left-to-right chained
-  std::vector<double> mean_acc;  ///< sum of closed-window means
-  std::vector<double> energy_j;
-  /// Reconcile buckets, row-major: analysis window a occupies
-  /// [a*nodes, (a+1)*nodes).  Empty when not reconciling.
-  std::vector<double> bucket_sum;
-  /// Per-analysis-window sample counts.  On the clean path every lane
-  /// sees every sample, so the counts are shared across lanes — computed
-  /// once from the sample grid (count_analysis_samples), not per lane.
-  std::vector<std::size_t> bucket_n;
-  std::size_t nodes = 0;
-
-  void init(std::size_t n, std::size_t analysis_windows);
+/// Where the lane kernels add one chunk's readings: each lane's
+/// open-window running sum (chained left to right, the order a whole
+/// trace's prefix sum uses) and, when the campaign reconciles, the
+/// analysis-window bucket sums — row-major, analysis window a of lane i
+/// at bucket_sum[a * stride + i], addressed per chunk sample through
+/// a_idx (see map_analysis_samples; null = no buckets).  Workers own
+/// disjoint lane ranges, so the sinks are shared without synchronization.
+struct LaneSinks {
+  double* win_sum = nullptr;
+  const std::int32_t* a_idx = nullptr;
+  double* bucket_sum = nullptr;
+  std::size_t stride = 0;
 };
 
 /// Reused per-worker staging for the fused kernels.
@@ -175,43 +169,32 @@ struct FleetScratch {
   std::vector<double> dc;   ///< per-lane DC staging for one level
   std::vector<double> lf;   ///< FleetPsuBank blend staging
   std::vector<double> eff;  ///< FleetPsuBank blend staging
-  StreamScratch node;       ///< per-node fallback (dense windows)
+  StreamScratch node;       ///< per-lane readings (non-fused sources)
 };
 
-/// Maps one window's sample grid onto the analysis windows: entry k is
-/// the index of the analysis window containing sample k's bucket time
-/// (the exact DeviceMeter::bucket expression t0 + (k + 0.5) * dt, first
-/// match wins), or -1 when none contains it.  The grid is shared across
-/// the clean cohort, so this is computed once per window, not per node.
+/// Maps samples [first, first + count) of window `w` onto the analysis
+/// windows: entry k is the index of the analysis window containing the
+/// bucket time of window-global sample first + k (w.begin + (first + k +
+/// 0.5) * interval, first match wins), or -1 when none contains it.  The
+/// grid is shared across the cohort, so this is computed once per chunk,
+/// not per lane.
 [[nodiscard]] std::vector<std::int32_t> map_analysis_samples(
-    const ShapeTable& table, const std::vector<TimeWindow>& analysis);
+    const TimeWindow& w, Seconds interval, std::size_t first,
+    std::size_t count, const std::vector<TimeWindow>& analysis);
 
-/// Adds one window's per-analysis-window sample counts into `bucket_n`.
-void count_analysis_samples(std::span<const std::int32_t> a_idx,
-                            std::span<std::size_t> bucket_n);
+/// Chains one lane's chunk of readings, in sample order, into its sinks.
+void chain_lane_chunk(std::span<const double> readings, std::size_t lane,
+                      const LaneSinks& sinks);
 
-/// Streams every window of `tables` for fleet lanes [begin, end) into
-/// `acc` — the fused form of stream_node_window + DeviceMeter
-/// feed_clean_chunk/close_clean_window per node, sample-major with the
-/// node index as the vector lane.  `analysis_idx` holds one
-/// map_analysis_samples result per window (empty vector = no
-/// reconciliation).  Windows with deduplicated shape levels run the
-/// fused lane kernels; dense windows (ramps past the level cap) fall
-/// back to the proven per-node kernel, chained into the same
-/// accumulators.  Consumes fleet.noise exactly as the per-node path
-/// would.  Workers must own disjoint lane ranges.
-void stream_fleet_windows(const std::vector<ShapeTable>& tables,
-                          const std::vector<std::vector<std::int32_t>>& analysis_idx,
-                          FleetState& fleet, std::size_t begin,
-                          std::size_t end, FleetAccumulators& acc,
-                          FleetScratch& scratch);
-
-/// Streams one chunk (from build_shape_chunk) for lanes [begin, end),
-/// chaining into win_sum — the fused form of stream_node_window +
-/// DeviceMeter::feed_clean_chunk for the live driver's clean streaming
-/// path (no reconcile buckets; the live stage keeps those per node).
+/// Streams one chunk (from build_shape_chunk) for fleet lanes [begin,
+/// end) into `sinks`.  With `fused` set and a level-indexed chunk, the
+/// fused lane kernel runs sample-major with the node index as the vector
+/// lane; otherwise each lane runs stream_node_window + chain_lane_chunk.
+/// Either way every lane gets the per-node expressions operand for
+/// operand and consumes fleet.noise in sample order, so the two are
+/// bit-identical.  Workers must own disjoint lane ranges.
 void stream_fleet_chunk(const ShapeTable& chunk, FleetState& fleet,
-                        std::size_t begin, std::size_t end,
-                        std::span<double> win_sum, FleetScratch& scratch);
+                        std::size_t begin, std::size_t end, bool fused,
+                        const LaneSinks& sinks, FleetScratch& scratch);
 
 }  // namespace pv

@@ -76,22 +76,6 @@ void build_shape_chunk(const ClusterPowerModel& cluster, const TimeWindow& w,
   index_shape_levels(out);
 }
 
-std::vector<ShapeTable> build_shape_tables(
-    const ClusterPowerModel& cluster, const std::vector<TimeWindow>& windows,
-    Seconds interval, MeterMode mode) {
-  PV_EXPECTS(interval.value() > 0.0, "reporting interval must be positive");
-  std::vector<ShapeTable> tables;
-  tables.reserve(windows.size());
-  for (const TimeWindow& w : windows) {
-    const std::size_t samples = window_sample_count(w, interval);
-    PV_EXPECTS(samples > 0, "window shorter than one reporting interval");
-    ShapeTable table;
-    build_shape_chunk(cluster, w, interval, mode, 0, samples, table);
-    tables.push_back(std::move(table));
-  }
-  return tables;
-}
-
 void stream_node_window(const ShapeTable& table, double node_mean_w,
                         const CompiledPsuCurve* ac_curve,
                         const MeterModel& meter, Rng& noise_rng,

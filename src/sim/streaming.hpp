@@ -7,11 +7,11 @@
 // that work is shared: every node's DC power is its mean times one common
 // shape factor, so the shape can be evaluated once per time-grid point and
 // reused across the whole cohort.  These kernels do exactly that —
-// build_shape_tables walks the workload model once per metered window;
-// stream_node_window then reduces a node's readings to one multiply, one
-// compiled-PSU evaluation and one calibration/noise application per
-// quadrature point, writing into a caller-owned scratch buffer so chunked
-// sharding allocates nothing per node.
+// build_shape_chunk walks the workload model once per chunk of a metered
+// window; stream_node_window then reduces a node's readings to one
+// multiply, one compiled-PSU evaluation and one calibration/noise
+// application per quadrature point, writing into a caller-owned scratch
+// buffer so chunked sharding allocates nothing per node.
 //
 // Byte-identity contract: for a SystemPowerModel lowered from the same
 // cluster, stream_node_window produces bit-identical readings (and
@@ -58,20 +58,14 @@ struct ShapeTable {
   static constexpr std::size_t kMaxLevels = 32;
 };
 
-/// One table per metered window.  Windows shorter than one reporting
-/// interval are rejected exactly like MeterModel::measure.
-[[nodiscard]] std::vector<ShapeTable> build_shape_tables(
-    const ClusterPowerModel& cluster, const std::vector<TimeWindow>& windows,
-    Seconds interval, MeterMode mode);
-
 /// Readings MeterModel::measure would produce over `w` at `interval` —
 /// the same floor arithmetic as samples_in.
 [[nodiscard]] std::size_t window_sample_count(const TimeWindow& w,
                                               Seconds interval);
 
 /// Fills `out` with the shape table for samples [first, first + count) of
-/// window `w` — the bounded-memory building block the live engine uses
-/// instead of materializing every window's table up front.  Sample i of
+/// window `w`, so a campaign streams in bounded chunks instead of
+/// materializing every window's table up front.  Sample i of
 /// the chunk sits on the *window-global* time grid (index first + i), so
 /// chunked streaming reproduces the full-window bits exactly.  `out`'s
 /// storage is reused across calls; out.samples is the chunk's count and

@@ -202,7 +202,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FleetEngineDifferential, DeadMeterMaskingMatchesScalarPath) {
   // Dead lanes (quarantined at provision) must drop out of the fused
-  // cohort exactly as the per-node path drops dead DeviceMeters: same
+  // cohort exactly as the per-node path drops dead meters: same
   // lost-meter ids, same coverage, same submitted numbers.
   const Rig rig = make_rig(64, Level::kL1, 5);
   CampaignConfig ref = base_config(5, 1, false);

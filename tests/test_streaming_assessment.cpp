@@ -166,6 +166,44 @@ TEST_P(StreamingAssessment, FaultedByzantineReconciledLiveMatchesBatch) {
   }
 }
 
+TEST_P(StreamingAssessment, CleanReconcilingLiveMatchesBatch) {
+  // A clean reconciling live run streams every chunk through the fused
+  // level kernel, mapping reconcile buckets per chunk on the window-global
+  // sample index, and emits a partial at every window close — the final
+  // document must still be the batch run's, bit for bit.
+  const auto [seed, level] = GetParam();
+  const Rig rig = make_rig(96, level, seed);
+  CampaignConfig batch_cfg = base_config(seed);
+  batch_cfg.reconcile.enabled = true;
+  const auto batch =
+      run_campaign(*rig.cluster, *rig.electrical, rig.plan, batch_cfg);
+  ASSERT_TRUE(batch.data_quality.reconcile_ran);
+  ASSERT_FALSE(batch.data_quality.integrity.diagnoses.empty());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    std::vector<std::string> partials;
+    // 7 samples per chunk: L2's short spot windows span several chunks too.
+    CampaignConfig cfg = live_config(seed, threads, 7, &partials);
+    cfg.reconcile.enabled = true;
+    const auto live =
+        run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
+    EXPECT_FALSE(partials.empty());
+    double fused = 0.0;
+    double chunks = 0.0;
+    for (const StageTrace& t : live.stage_traces) {
+      if (t.stage != "meter") continue;
+      for (const auto& [k, v] : t.counters) {
+        if (k == "fleet_fused") fused = v;
+        if (k == "chunks") chunks = v;
+      }
+    }
+    EXPECT_EQ(fused, 1.0);
+    // Many chunks, the last one ragged: more chunks than windows.
+    EXPECT_GT(chunks, static_cast<double>(partials.size()));
+    expect_identical(rig.plan, batch, live,
+                     "reconciling, threads=" + std::to_string(threads));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndLevels, StreamingAssessment,
     ::testing::Combine(::testing::Values(1u, 2u, 3u),

@@ -422,16 +422,20 @@ if [[ "$soa_out" != "$fanned_fleet" ]]; then
   exit 1
 fi
 
-# Same contract through the live chunk driver (no reconcile: the live
-# fused path covers clean streaming windows).
-live_fleet_args=(campaign --nodes 96 --cv 0.03 --level 1 --seed 5
-                 --interval 10 --json --live)
-live_soa="$("$powervar" "${live_fleet_args[@]}" | tail -n 1)"
-live_scalar="$("$powervar" "${live_fleet_args[@]}" --scalar-fleet |
+# Same contract through the live chunk driver, reconcile buckets
+# included: the final line of a clean reconciling --live run is the batch
+# --json document on both the fused and the scalar path.
+live_soa="$("$powervar" "${fleet_args[@]}" --live | tail -n 1)"
+live_scalar="$("$powervar" "${fleet_args[@]}" --live --scalar-fleet |
                tail -n 1)"
 if [[ "$live_soa" != "$live_scalar" ]]; then
   echo "FAIL: live fused chunk driver diverged from the scalar path" >&2
   diff <(printf '%s\n' "$live_scalar") <(printf '%s\n' "$live_soa") >&2 || true
+  exit 1
+fi
+if [[ "$live_soa" != "$soa_out" ]]; then
+  echo "FAIL: reconciling --live final document diverged from the batch run" >&2
+  diff <(printf '%s\n' "$soa_out") <(printf '%s\n' "$live_soa") >&2 || true
   exit 1
 fi
 
