@@ -63,29 +63,30 @@ enum class CampaignEngine {
   kStreaming,
 };
 
-/// Execution knobs of a campaign.
-/// Live (bounded-memory) metering options.  When enabled, node-tap
-/// campaigns run the window-major live meter stage: per-window shape
-/// chunks replace the up-front full-campaign tables, per-node window
-/// accumulators replace materialized traces, and partial assessment
-/// Documents can be emitted mid-run on a pinned virtual-time schedule.
-/// The final result is byte-identical to the batch stage (ctest-enforced
-/// by test_streaming_assessment).
+/// Live metering options.  Every node-tap campaign runs the same
+/// window-major lane driver; enabling live attaches a sink to it, so
+/// partial assessment Documents can be emitted mid-run on a pinned
+/// virtual-time schedule.  The final result is byte-identical to the
+/// batch run's (ctest-enforced by test_streaming_assessment), at the
+/// batch run's peak memory.
 struct LiveOptions {
   bool enabled = false;
   /// Virtual seconds between partial emissions; 0 emits one partial at
   /// every closed metering window.  The schedule is pinned in virtual
   /// time, so reruns emit identical partials.
   double emit_every_s = 0.0;
-  /// Samples streamed per kernel chunk — the peak per-worker footprint
-  /// of the clean streaming path is O(chunk_samples), independent of
-  /// campaign length.
+  /// Samples streamed per kernel chunk by every clean streaming run,
+  /// batch or live — the peak per-worker footprint is O(chunk_samples),
+  /// independent of campaign length, and chunked streaming is
+  /// bit-identical to whole-window streaming.  Faulted and eager runs
+  /// meter whole windows.
   std::size_t chunk_samples = 4096;
   /// Closed-window summaries retained in the fixed-capacity ring buffer
   /// (reported in partial Documents' "live" block).
   std::size_t history_windows = 8;
 };
 
+/// Execution knobs of a campaign.
 struct CampaignConfig {
   MeterAccuracy meter_accuracy = MeterAccuracy::pdu_grade();
   std::uint64_t seed = 1;

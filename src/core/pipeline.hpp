@@ -19,9 +19,9 @@
 // rack-PDU and facility-feed lanes on the eager source, batch or live —
 // and src/collect's asynchronous transport is the other way to fill
 // `devices`/`readings`.  Making that slot explicit lets the async
-// collector reuse the exact
-// Repair/Aggregate/Assess tail (finalize_node_campaign is now a thin
-// wrapper over those stages), and gives every mode the same per-stage
+// collector reuse the exact Repair/Aggregate/Assess tail
+// (finalize_node_campaign is now a thin wrapper over those stages), and
+// gives every mode the same per-stage
 // observability: each stage records a StageTrace (items, samples,
 // virtual time, deterministic counters, wall clock) surfaced through
 // `powervar campaign --trace-stages` and the JSON assessment document.

@@ -4,9 +4,9 @@
 // meter stage must produce a final assessment Document *byte-identical*
 // to the batch stage's — memcmp on every reported double and verdict,
 // and string equality on the rendered JSON — across seeds x L1/L2/L3 x
-// thread counts x {clean, harsh faults + dead + byzantine + reconcile},
-// on both the streaming and the eager engine, with chunk sizes small
-// enough to force many chunks per window.  Partial documents must parse
+// thread counts x {clean, clean + reconcile, harsh faults + dead +
+// byzantine + reconcile}, on both the streaming and the eager engine,
+// with chunk sizes small enough to force many chunks per window.  Partial documents must parse
 // as valid powervar-assessment-v1 lines, follow the pinned virtual-time
 // emission schedule, and be byte-identical across thread counts and
 // reruns.
@@ -131,21 +131,47 @@ CampaignConfig with_harsh_faults(CampaignConfig cfg,
 class StreamingAssessment
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, Level>> {};
 
+double meter_counter(const CampaignResult& r, const std::string& name) {
+  for (const StageTrace& t : r.stage_traces) {
+    if (t.stage != "meter") continue;
+    for (const auto& [k, v] : t.counters) {
+      if (k == name) return v;
+    }
+  }
+  return -1.0;
+}
+
 TEST_P(StreamingAssessment, CleanLiveFinalByteIdenticalToBatch) {
   const auto [seed, level] = GetParam();
   const Rig rig = make_rig(96, level, seed);
-  const auto batch = run_campaign(*rig.cluster, *rig.electrical, rig.plan,
-                                  base_config(seed));
-  // Chunk sizes deliberately small and non-round so every window spans
-  // many chunks and the last chunk is ragged.
-  for (const std::size_t chunk : {std::size_t{37}, std::size_t{64}}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-      const auto live =
-          run_campaign(*rig.cluster, *rig.electrical, rig.plan,
-                       live_config(seed, threads, chunk));
-      expect_identical(rig.plan, batch, live,
-                       "clean, chunk=" + std::to_string(chunk) +
-                           ", threads=" + std::to_string(threads));
+  // Reconciling runs stream every chunk through the fused level kernel
+  // too, mapping reconcile buckets per chunk on the window-global sample
+  // index.
+  for (const bool reconcile : {false, true}) {
+    CampaignConfig batch_cfg = base_config(seed);
+    batch_cfg.reconcile.enabled = reconcile;
+    const auto batch =
+        run_campaign(*rig.cluster, *rig.electrical, rig.plan, batch_cfg);
+    // Chunk sizes deliberately small and non-round so every window spans
+    // many chunks and the last chunk is ragged (7 splits even L2's short
+    // spot windows); partials are emitted at every window close.
+    for (const std::size_t chunk :
+         {std::size_t{7}, std::size_t{37}, std::size_t{64}}) {
+      for (const std::size_t threads :
+           {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+        std::vector<std::string> partials;
+        CampaignConfig cfg = live_config(seed, threads, chunk, &partials);
+        cfg.reconcile.enabled = reconcile;
+        const auto live =
+            run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
+        EXPECT_FALSE(partials.empty());
+        EXPECT_EQ(meter_counter(live, "fleet_fused"), 1.0);
+        EXPECT_EQ(live.data_quality.reconcile_ran, reconcile);
+        expect_identical(rig.plan, batch, live,
+                         std::string(reconcile ? "reconciling" : "clean") +
+                             ", chunk=" + std::to_string(chunk) +
+                             ", threads=" + std::to_string(threads));
+      }
     }
   }
 }
@@ -163,44 +189,6 @@ TEST_P(StreamingAssessment, FaultedByzantineReconciledLiveMatchesBatch) {
         with_harsh_faults(live_config(seed, threads, 37), rig.plan));
     expect_identical(rig.plan, batch, live,
                      "faulted, threads=" + std::to_string(threads));
-  }
-}
-
-TEST_P(StreamingAssessment, CleanReconcilingLiveMatchesBatch) {
-  // A clean reconciling live run streams every chunk through the fused
-  // level kernel, mapping reconcile buckets per chunk on the window-global
-  // sample index, and emits a partial at every window close — the final
-  // document must still be the batch run's, bit for bit.
-  const auto [seed, level] = GetParam();
-  const Rig rig = make_rig(96, level, seed);
-  CampaignConfig batch_cfg = base_config(seed);
-  batch_cfg.reconcile.enabled = true;
-  const auto batch =
-      run_campaign(*rig.cluster, *rig.electrical, rig.plan, batch_cfg);
-  ASSERT_TRUE(batch.data_quality.reconcile_ran);
-  ASSERT_FALSE(batch.data_quality.integrity.diagnoses.empty());
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    std::vector<std::string> partials;
-    // 7 samples per chunk: L2's short spot windows span several chunks too.
-    CampaignConfig cfg = live_config(seed, threads, 7, &partials);
-    cfg.reconcile.enabled = true;
-    const auto live =
-        run_campaign(*rig.cluster, *rig.electrical, rig.plan, cfg);
-    EXPECT_FALSE(partials.empty());
-    double fused = 0.0;
-    double chunks = 0.0;
-    for (const StageTrace& t : live.stage_traces) {
-      if (t.stage != "meter") continue;
-      for (const auto& [k, v] : t.counters) {
-        if (k == "fleet_fused") fused = v;
-        if (k == "chunks") chunks = v;
-      }
-    }
-    EXPECT_EQ(fused, 1.0);
-    // Many chunks, the last one ragged: more chunks than windows.
-    EXPECT_GT(chunks, static_cast<double>(partials.size()));
-    expect_identical(rig.plan, batch, live,
-                     "reconciling, threads=" + std::to_string(threads));
   }
 }
 
