@@ -84,11 +84,24 @@ void expect_identical(const MeasurementPlan& plan, const CampaignResult& a,
   EXPECT_EQ(qa.integrity.meters_quarantined, qb.integrity.meters_quarantined);
   EXPECT_EQ(qa.integrity.meters_corrected, qb.integrity.meters_corrected);
   ASSERT_EQ(qa.integrity.diagnoses.size(), qb.integrity.diagnoses.size());
+  // The cohort statistics and hierarchy residuals read every meter's
+  // analysis-window series, which a clean document never renders.
   for (std::size_t i = 0; i < qa.integrity.diagnoses.size(); ++i) {
-    EXPECT_EQ(qa.integrity.diagnoses[i].meter_id,
-              qb.integrity.diagnoses[i].meter_id);
-    EXPECT_EQ(static_cast<int>(qa.integrity.diagnoses[i].verdict),
-              static_cast<int>(qb.integrity.diagnoses[i].verdict));
+    const MeterDiagnosis& da = qa.integrity.diagnoses[i];
+    const MeterDiagnosis& db = qb.integrity.diagnoses[i];
+    EXPECT_EQ(da.meter_id, db.meter_id);
+    EXPECT_EQ(static_cast<int>(da.verdict), static_cast<int>(db.verdict));
+    EXPECT_TRUE(bits_equal(da.gain_estimate, db.gain_estimate));
+    EXPECT_TRUE(bits_equal(da.robust_z, db.robust_z));
+    EXPECT_TRUE(bits_equal(da.cusum_max, db.cusum_max));
+    EXPECT_TRUE(bits_equal(da.drift_per_window, db.drift_per_window));
+  }
+  ASSERT_EQ(qa.integrity.residuals.size(), qb.integrity.residuals.size());
+  for (std::size_t i = 0; i < qa.integrity.residuals.size(); ++i) {
+    EXPECT_TRUE(bits_equal(qa.integrity.residuals[i].worst_before,
+                           qb.integrity.residuals[i].worst_before));
+    EXPECT_TRUE(bits_equal(qa.integrity.residuals[i].worst_after,
+                           qb.integrity.residuals[i].worst_after));
   }
   // The whole rendered document, byte for byte.
   EXPECT_EQ(render_json(assessment_document(plan, a)),
