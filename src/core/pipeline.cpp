@@ -577,7 +577,7 @@ class LaneMeter {
     const LaneSinks sinks{window_.data(), c.a_idx, bucket_sum_.data(),
                           lanes_};
     if (streaming_) {
-      stream_fleet_chunk(*c.table, fleet_, b, e, fused_, sinks, scratch);
+      stream_lane_chunk(*c.table, fleet_, b, e, fused_, sinks, scratch);
     } else {
       for (std::size_t i = b; i < e; ++i) {
         chain_lane_chunk(lane_readings(c, i, scratch.node), i, sinks);

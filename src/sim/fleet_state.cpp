@@ -312,7 +312,7 @@ void fused_level_chunk(const ShapeTable& table, FleetState& fleet,
 
 }  // namespace
 
-void stream_fleet_chunk(const ShapeTable& chunk, FleetState& fleet,
+void stream_lane_chunk(const ShapeTable& chunk, FleetState& fleet,
                         std::size_t begin, std::size_t end, bool fused,
                         const LaneSinks& sinks, FleetScratch& scratch) {
   PV_EXPECTS(end <= fleet.size() && begin <= end, "lane range out of fleet");

@@ -193,7 +193,7 @@ void chain_lane_chunk(std::span<const double> readings, std::size_t lane,
 /// Either way every lane gets the per-node expressions operand for
 /// operand and consumes fleet.noise in sample order, so the two are
 /// bit-identical.  Workers must own disjoint lane ranges.
-void stream_fleet_chunk(const ShapeTable& chunk, FleetState& fleet,
+void stream_lane_chunk(const ShapeTable& chunk, FleetState& fleet,
                         std::size_t begin, std::size_t end, bool fused,
                         const LaneSinks& sinks, FleetScratch& scratch);
 
