@@ -118,12 +118,12 @@ struct CampaignConfig {
   /// (every lane runs the per-node expressions operand for operand) —
   /// the switch exists for differential tests and benchmarks.
   bool fleet_soa = true;
-  /// Bounded-memory live metering (see LiveOptions).
+  /// Live metering (see LiveOptions).
   LiveOptions live;
   /// Receives each partial assessment Document as one complete rendered
   /// JSON line (render_json output: compact, trailing newline) — a single
   /// call per partial, so a consumer never observes a torn write.  Null
-  /// runs the live stage without emitting.
+  /// runs live metering without emitting.
   std::function<void(const std::string&)> live_sink;
 };
 

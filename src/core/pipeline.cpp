@@ -31,8 +31,8 @@ constexpr std::uint64_t kFateSalt = 0xFA7E0FA7ULL;
 constexpr std::uint64_t kFaultSalt = 0x1FAC7ED0ULL;
 
 // Node-tap Aggregate tail (defined with the other aggregate functions
-// below); the live meter stage also runs it on mid-run snapshots so
-// partial and final documents cannot drift apart structurally.
+// below); live metering also runs it on mid-run snapshots so partial
+// and final documents cannot drift apart structurally.
 void aggregate_nodes(CampaignContext& ctx);
 
 // The common time grid cross-validation compares meters on.  Plans that

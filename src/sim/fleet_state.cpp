@@ -313,8 +313,8 @@ void fused_level_chunk(const ShapeTable& table, FleetState& fleet,
 }  // namespace
 
 void stream_lane_chunk(const ShapeTable& chunk, FleetState& fleet,
-                        std::size_t begin, std::size_t end, bool fused,
-                        const LaneSinks& sinks, FleetScratch& scratch) {
+                       std::size_t begin, std::size_t end, bool fused,
+                       const LaneSinks& sinks, FleetScratch& scratch) {
   PV_EXPECTS(end <= fleet.size() && begin <= end, "lane range out of fleet");
   if (fused && !chunk.levels.empty()) {
     fused_level_chunk(chunk, fleet, begin, end, sinks, scratch);

@@ -26,7 +26,8 @@
 // node cohort; core/pipeline's CampaignContext owns the instance for the
 // duration of one campaign (see docs/architecture.md).  The sim layer
 // owns the layout and the kernels because they are pure functions of sim
-// inputs; the pipeline stages only orchestrate.
+// inputs; the pipeline's lane driver keeps its per-lane metering state
+// (window sums, accumulators, fault state) in columns beside the table.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,8 +47,9 @@
 namespace pv {
 
 /// RNG stream salts for per-meter calibration and per-sample noise —
-/// shared by every provisioning site (batch stages, live stage, async
-/// collector) so a node's streams are identical wherever it is metered.
+/// shared by every provisioning site (the campaign's Meter stage, the
+/// async collector) so a node's streams are identical wherever it is
+/// metered.
 inline constexpr std::uint64_t kCalibrationSalt = 0x5CA1AB1EULL;
 inline constexpr std::uint64_t kNoiseSalt = 0xBADCAB1EULL;
 
@@ -194,7 +196,7 @@ void chain_lane_chunk(std::span<const double> readings, std::size_t lane,
 /// operand and consumes fleet.noise in sample order, so the two are
 /// bit-identical.  Workers must own disjoint lane ranges.
 void stream_lane_chunk(const ShapeTable& chunk, FleetState& fleet,
-                        std::size_t begin, std::size_t end, bool fused,
-                        const LaneSinks& sinks, FleetScratch& scratch);
+                       std::size_t begin, std::size_t end, bool fused,
+                       const LaneSinks& sinks, FleetScratch& scratch);
 
 }  // namespace pv
